@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,15 +16,15 @@ import (
 )
 
 // randomRecords drives the tracer with a reproducible random event sequence
-// and returns what was emitted, in order.
-func randomRecords(rng *rand.Rand, tr *Tracer, n int) []Record {
+// over cpus CPUs and returns what was emitted, in order.
+func randomRecords(rng *rand.Rand, tr *Tracer, n, cpus int) []Record {
 	var out []Record
 	tr.Tap(func(rec Record) { out = append(out, rec) })
 	now := time.Duration(0)
 	for i := 0; i < n; i++ {
 		now += time.Duration(rng.Intn(1_000_000))
 		kind := Kind(1 + rng.Intn(int(kindMax)-1))
-		cpu := uint16(rng.Intn(4))
+		cpu := uint16(rng.Intn(cpus))
 		tid := uint32(1 + rng.Intn(8))
 		arg := rng.Uint64()
 		tr.Emit(engine.At(now), cpu, tid, kind, arg)
@@ -43,7 +45,7 @@ func TestRoundTripProperty(t *testing.T) {
 		capacity := 8 << rng.Intn(6) // 8..256
 		n := rng.Intn(600)
 		tr := New(Config{CPUs: 4, Capacity: capacity})
-		emitted := randomRecords(rng, tr, n)
+		emitted := randomRecords(rng, tr, n, 4)
 
 		var buf bytes.Buffer
 		if err := tr.WriteTo(&buf, threads); err != nil {
@@ -90,30 +92,124 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-// File-backed round trip: spills produce multiple record sections that the
-// reader merges back into one ordered stream.
+// File-backed round trip: spills produce many record sections, one per
+// flushed ring chunk, interleaved across CPUs; the reader merges them back
+// into exact emission order.
 func TestRoundTripFileBackedSpills(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	var buf bytes.Buffer
-	tr := New(Config{CPUs: 4, Capacity: 8, Sink: &buf})
-	emitted := randomRecords(rng, tr, 500)
-	if err := tr.Close(nil); err != nil {
-		t.Fatal(err)
+	for seed := int64(1); seed <= 4; seed++ {
+		for _, cpus := range []int{1, 2, 5, 32} {
+			for _, capacity := range []int{1, 3, 8, 64} {
+				rng := rand.New(rand.NewSource(seed))
+				var buf bytes.Buffer
+				tr := New(Config{CPUs: cpus, Capacity: capacity, Sink: &buf})
+				emitted := randomRecords(rng, tr, 200+rng.Intn(800), cpus)
+				if err := tr.Close(nil); err != nil {
+					t.Fatal(err)
+				}
+				decoded, err := Decode(buf.Bytes())
+				if err != nil {
+					t.Fatalf("seed %d cpus %d capacity %d: %v", seed, cpus, capacity, err)
+				}
+				if len(decoded.Records) != len(emitted) {
+					t.Fatalf("seed %d cpus %d capacity %d: decoded %d, want %d (no record may be lost with a sink)",
+						seed, cpus, capacity, len(decoded.Records), len(emitted))
+				}
+				for i := range emitted {
+					if decoded.Records[i] != emitted[i] {
+						t.Fatalf("seed %d cpus %d capacity %d: record %d = %+v, want %+v",
+							seed, cpus, capacity, i, decoded.Records[i], emitted[i])
+					}
+				}
+				if decoded.TotalLost() != 0 {
+					t.Fatalf("seed %d cpus %d capacity %d: lost %d", seed, cpus, capacity, decoded.TotalLost())
+				}
+			}
+		}
 	}
-	decoded, err := Decode(buf.Bytes())
+}
+
+// fileImage builds a trace file image with one 'R' section per element of
+// sections, each holding its records in the given order.
+func fileImage(sections ...[]Record) []byte {
+	var b []byte
+	b = append(b, magic[:]...)
+	b = binary.LittleEndian.AppendUint16(b, Version)
+	b = binary.LittleEndian.AppendUint16(b, 0)
+	for _, recs := range sections {
+		b = append(b, secRecords)
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(recs)*recordSize))
+		for _, rec := range recs {
+			var packed [recordSize]byte
+			putRecord(packed[:], rec)
+			b = append(b, packed[:]...)
+		}
+	}
+	return b
+}
+
+func seqRecords(seqs ...uint64) []Record {
+	recs := make([]Record, len(seqs))
+	for i, seq := range seqs {
+		recs[i] = Record{Seq: seq, At: engine.At(time.Duration(seq)), TID: uint32(seq % 5), CPU: uint16(i), Kind: KindReady}
+	}
+	return recs
+}
+
+func TestDecodeRejectsDuplicateSeqAcrossSections(t *testing.T) {
+	data := fileImage(seqRecords(1, 4, 6), seqRecords(2, 4, 5))
+	_, err := Decode(data)
+	if !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("duplicate seq 4 across sections: error %v, want ErrBadFormat", err)
+	}
+	if !strings.Contains(err.Error(), "duplicate record sequence number 4") {
+		t.Fatalf("error %q does not name the duplicate", err)
+	}
+}
+
+func TestDecodeSortsDescendingSection(t *testing.T) {
+	desc := seqRecords(9, 7, 4, 3, 0)
+	decoded, err := Decode(fileImage(desc, seqRecords(5, 8), seqRecords(1, 2, 6)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(decoded.Records) != len(emitted) {
-		t.Fatalf("decoded %d, want %d (no record may be lost with a sink)", len(decoded.Records), len(emitted))
+	if len(decoded.Records) != 10 {
+		t.Fatalf("decoded %d records, want 10", len(decoded.Records))
 	}
-	for i := range emitted {
-		if decoded.Records[i] != emitted[i] {
-			t.Fatalf("record %d = %+v, want %+v", i, decoded.Records[i], emitted[i])
+	for i, rec := range decoded.Records {
+		if rec.Seq != uint64(i) {
+			t.Fatalf("record %d has seq %d: %+v", i, rec.Seq, decoded.Records)
 		}
 	}
-	if decoded.TotalLost() != 0 {
-		t.Fatalf("lost %d", decoded.TotalLost())
+	if decoded.Records[9] != desc[0] || decoded.Records[0] != desc[4] {
+		t.Fatalf("records changed in the merge: %+v", decoded.Records)
+	}
+}
+
+// Decode allocates the record stream once, at its exact size: the total is
+// at most 32 bytes per record plus a small constant for the trace header,
+// thread and lost tables, and the run bookkeeping.
+func TestDecodeAllocatesExactRecords(t *testing.T) {
+	const cpus, capacity, n = 8, 512, 50_000
+	var buf bytes.Buffer
+	tr := New(Config{CPUs: cpus, Capacity: capacity, Sink: &buf})
+	randomRecords(rand.New(rand.NewSource(5)), tr, n, cpus)
+	if err := tr.Close([]ThreadInfo{{TID: 1, Name: "a.mand"}}); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes() // about n/capacity record sections, interleaved across the CPUs
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	decoded, err := Decode(data)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(decoded.Records) != n {
+		t.Fatalf("decoded %d records, want %d", len(decoded.Records), n)
+	}
+	const slack = 64 << 10
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(recordSize*n+slack); got > limit {
+		t.Fatalf("Decode allocated %d bytes for %d records, limit %d", got, n, limit)
 	}
 }
 

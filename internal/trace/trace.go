@@ -365,8 +365,8 @@ func (tr *Tracer) Records() []Record {
 	return out
 }
 
-// sortRecords orders records by sequence number. Used by Records and the
-// file reader to merge the per-CPU streams into the global emission order.
+// sortRecords orders records by sequence number, merging the per-CPU
+// streams into the global emission order.
 func sortRecords(recs []Record) {
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
 }

@@ -138,20 +138,20 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzWorkloadCodec -fuzztime=30s ./internal/workload
 
 # bench-json runs the scheduling-core benchmarks (engine, kernel hot paths,
-# many-task scaling, tracing overhead, cluster fan-out, workload
-# generation/replay) and converts the stream into
+# many-task scaling, tracing overhead, trace read-back, cluster fan-out,
+# workload generation/replay) and converts the stream into
 # results/BENCH_PR$(BENCH_PR).json via rtseed-benchjson, the
 # machine-readable perf-trajectory record CI uploads as an artifact. The
 # second pass repeats the continuation-executor headline benchmarks 5× so
 # the record carries medians, and the -baseline flag embeds the previous
 # stack point's medians from results/BENCH_PR$(BENCH_BASE).json next to
 # them. Override per stack point: `make bench-json BENCH_PR=10 BENCH_BASE=9`.
-BENCH_PR ?= 9
-BENCH_BASE ?= 8
+BENCH_PR ?= 12
+BENCH_BASE ?= 9
 bench-json:
 	@mkdir -p results
 	( $(GO) test -run=NONE \
-		-bench='BenchmarkEngine|BenchmarkKernel|BenchmarkManyTaskKernel|BenchmarkTracingOverhead|BenchmarkTraceEmit|BenchmarkCluster|BenchmarkWorkload' \
+		-bench='BenchmarkEngine|BenchmarkKernel|BenchmarkManyTaskKernel|BenchmarkTracingOverhead|BenchmarkTraceEmit|BenchmarkTraceReadBack|BenchmarkCluster|BenchmarkWorkload' \
 		-benchmem ./... ; \
 	  $(GO) test -run=NONE \
 		-bench='BenchmarkKernelEventThroughput$$|BenchmarkManyTaskKernel/(release|compute)/n=1024$$' \

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"testing"
 	"time"
 
 	"rtseed/internal/assign"
 	"rtseed/internal/machine"
 	"rtseed/internal/task"
+	"rtseed/internal/trace"
 )
 
 // practicalTask builds a two-section practical task: T=100ms, sections
@@ -212,5 +216,104 @@ func TestPracticalConfigValidation(t *testing.T) {
 	}
 	if _, err := NewPracticalProcess(k, base); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
+	}
+}
+
+// practicalRun runs cfg on a fresh traced kernel and returns the job
+// records and the tracer's retained records.
+func practicalRun(t *testing.T, cfg PracticalConfig) ([]task.JobRecord, []trace.Record) {
+	t.Helper()
+	k := newSim(t, machine.NoLoad)
+	tr := trace.New(trace.Config{CPUs: k.Machine().Topology().NumHWThreads(), Capacity: 1 << 14})
+	k.SetTrace(tr)
+	if cfg.OptionalCPUs == nil {
+		cpus, err := assign.HWThreads(k.Machine().Topology(), assign.OneByOne, cfg.Task.NumOptional())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.OptionalCPUs = cpus
+	}
+	p, err := NewPracticalProcess(k, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Start()
+	k.Run()
+	if lost := tr.TotalLost(); lost != 0 {
+		t.Fatalf("tracer lost %d records", lost)
+	}
+	return p.Records(), tr.Records()
+}
+
+// practicalDigest is the SHA-256 of the JSON of the job records followed by
+// the JSON of the kernel-kind trace records. Middleware kinds and sequence
+// numbers are left out, so the digest pins what the kernel did and what the
+// task achieved, independent of which middleware records are emitted.
+func practicalDigest(t *testing.T, recs []task.JobRecord, trs []trace.Record) string {
+	t.Helper()
+	var kernelRecs []trace.Record
+	for _, r := range trs {
+		if r.Kind < trace.KindJobRelease {
+			r.Seq = 0
+			kernelRecs = append(kernelRecs, r)
+		}
+	}
+	h := sha256.New()
+	for _, v := range []any{recs, kernelRecs} {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(b)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestPracticalGoldenDigests pins traced practical runs: every termination
+// mechanism on the two-section task, a section whose optional deadline has
+// passed when its mandatory part ends (its parts are discarded), and
+// sections without optional parts.
+func TestPracticalGoldenDigests(t *testing.T) {
+	base := func(tk task.PracticalTask) PracticalConfig {
+		return PracticalConfig{Task: tk, MandatoryPriority: 90, OptionalDeadline: ms(70), Jobs: 4}
+	}
+	sigjmp := base(practicalTask(ms(25)))
+	periodic := base(practicalTask(ms(25)))
+	periodic.Termination = PeriodicCheckTermination{Period: ms(3)}
+	tryCatch := base(practicalTask(ms(25)))
+	tryCatch.Termination = TryCatchTermination{}
+	// Section 1's mandatory part ends at ≈55ms, past its 45ms deadline.
+	discard := base(practicalTask(time.Second))
+	discard.SectionDeadlines = []time.Duration{ms(40), ms(45)}
+	discard.MandatoryCPU = 1
+	empty := base(task.PracticalTask{
+		Name: "gaps",
+		Sections: []task.Section{
+			{Mandatory: ms(10)},
+			{Mandatory: ms(10), Optional: []time.Duration{ms(20), time.Second}},
+			{Mandatory: ms(5)},
+		},
+		Windup: ms(20),
+		Period: ms(100),
+	})
+	cases := []struct {
+		name string
+		cfg  PracticalConfig
+		want string
+	}{
+		{"sigjmp", sigjmp, "1fb7cccffb993cb9bbf4479a6bb54ad41e7b2c03d93f56be5cd254610621d5c6"},
+		{"periodic-check", periodic, "7ed3abb67734c0e7396001e756c0be399086a0d005afa3ad7fedd2f240769dfb"},
+		{"try-catch", tryCatch, "cf34e2b464b60981bbb12882fe28932c8b51db6411baa98fcd2790b23edb2f21"},
+		{"discard", discard, "86786dea2cfd38c958e8117270d0028491790febbdc4082cdad918a71b36840e"},
+		{"no-optional-section", empty, "167473b2da4d6a2a3b1b19fd9cd9ed8c190f26bbc0526914ae41a1855e70563d"},
+	}
+	for _, tc := range cases {
+		recs, trs := practicalRun(t, tc.cfg)
+		if tc.name == "discard" && task.Summarize(recs).DiscardedParts == 0 {
+			t.Errorf("discard: no part was discarded")
+		}
+		if got := practicalDigest(t, recs, trs); got != tc.want {
+			t.Errorf("%s: digest %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }

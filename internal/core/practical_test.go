@@ -1,13 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 
 	"rtseed/internal/assign"
+	"rtseed/internal/kernel"
 	"rtseed/internal/machine"
 	"rtseed/internal/task"
 	"rtseed/internal/trace"
@@ -160,10 +163,12 @@ func TestPracticalSectionsInterleave(t *testing.T) {
 
 func TestPracticalWithOneSectionMatchesParallelExtended(t *testing.T) {
 	// With a single section the practical model reduces to the
-	// parallel-extended model: same outcomes, same deadline behaviour.
+	// parallel-extended model: the same job records and the same trace,
+	// byte for byte.
 	k1 := newSim(t, machine.NoLoad)
+	buf1 := traceTo(k1)
 	single := task.PracticalTask{
-		Name:     "one",
+		Name:     "tau1",
 		Sections: []task.Section{{Mandatory: ms(25), Optional: []time.Duration{time.Second, time.Second}}},
 		Windup:   ms(25),
 		Period:   ms(100),
@@ -178,15 +183,85 @@ func TestPracticalWithOneSectionMatchesParallelExtended(t *testing.T) {
 	}
 	pp.Start()
 	k1.Run()
+	closeTrace(t, k1)
 
 	k2 := newSim(t, machine.NoLoad)
+	buf2 := traceTo(k2)
 	pe := newProcess(t, k2, paperTask(2, time.Second), 3, nil, Probes{}, App{})
 	pe.Start()
 	k2.Run()
+	closeTrace(t, k2)
 
-	a, b := pp.Stats(), pe.Stats()
-	if a.TerminatedParts != b.TerminatedParts || a.DeadlineMisses != b.DeadlineMisses {
-		t.Fatalf("practical %+v vs parallel-extended %+v", a, b)
+	if a, b := pp.Records(), pe.Records(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("practical records %+v\nvs parallel-extended %+v", a, b)
+	}
+	if !bytes.Equal(buf1.Bytes(), buf2.Bytes()) {
+		t.Fatalf("traces differ: practical %d bytes, parallel-extended %d bytes", buf1.Len(), buf2.Len())
+	}
+}
+
+// TestPracticalTraceAnalysis checks that a traced two-section run's
+// middleware records give trace.Analyze the same counts as the process's
+// own job records: one release-latency sample per job, and per-section part
+// outcomes.
+func TestPracticalTraceAnalysis(t *testing.T) {
+	k := newSim(t, machine.NoLoad)
+	buf := traceTo(k)
+	tk := task.PracticalTask{
+		Name: "prac",
+		Sections: []task.Section{
+			// One part completes and one is terminated at the first
+			// section's deadline; the second section's mandatory part
+			// ends past its deadline, so its part is discarded.
+			{Mandatory: ms(10), Optional: []time.Duration{ms(5), time.Second}},
+			{Mandatory: ms(15), Optional: []time.Duration{time.Second}},
+		},
+		Windup: ms(20),
+		Period: ms(100),
+	}
+	cpus, _ := assign.HWThreads(k.Machine().Topology(), assign.OneByOne, tk.NumOptional())
+	p, err := NewPracticalProcess(k, PracticalConfig{
+		Task: tk, MandatoryPriority: 90, MandatoryCPU: 0, OptionalCPUs: cpus,
+		OptionalDeadline: ms(70), SectionDeadlines: []time.Duration{ms(40), ms(45)}, Jobs: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Start()
+	k.Run()
+	closeTrace(t, k)
+	decoded, err := trace.Decode(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := trace.Analyze(decoded)
+	ts := a.TaskByName("prac")
+	if ts == nil {
+		t.Fatalf("no task %q in the analysis: %+v", "prac", a.Tasks)
+	}
+	st := p.Stats()
+	if st.CompletedParts == 0 || st.TerminatedParts == 0 || st.DiscardedParts == 0 {
+		t.Fatalf("the run must complete, terminate and discard parts: %+v", st)
+	}
+	if ts.Jobs != st.Jobs || ts.ReleaseLat.N != uint64(st.Jobs) ||
+		ts.Completed != st.CompletedParts || ts.Terminated != st.TerminatedParts ||
+		ts.Discarded != st.DiscardedParts || ts.Misses != st.DeadlineMisses {
+		t.Fatalf("analysis %+v disagrees with stats %+v", ts, st)
+	}
+}
+
+// traceTo attaches a file-backed tracer writing into the returned buffer.
+func traceTo(k *kernel.Kernel) *bytes.Buffer {
+	var buf bytes.Buffer
+	k.SetTrace(trace.New(trace.Config{CPUs: k.Machine().Topology().NumHWThreads(), Sink: &buf}))
+	return &buf
+}
+
+// closeTrace flushes k's tracer with the thread table.
+func closeTrace(t *testing.T, k *kernel.Kernel) {
+	t.Helper()
+	if err := k.Trace().Close(k.ThreadInfos()); err != nil {
+		t.Fatal(err)
 	}
 }
 

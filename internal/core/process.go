@@ -131,11 +131,15 @@ func (cfg *Config) validate() error {
 }
 
 // Process is a running parallel-extended imprecise task: one mandatory
-// thread plus np parallel optional threads on a simulated kernel.
+// thread plus np parallel optional threads on a simulated kernel. A job is a
+// sequence of sections — one for NewProcess, one per stage for
+// NewPracticalProcess — each a mandatory part followed by its parallel
+// optional parts, and a single wind-up part closes the job.
 type Process struct {
-	k    *kernel.Kernel
-	cfg  Config
-	term Termination
+	k        *kernel.Kernel
+	cfg      Config
+	term     Termination
+	sections []section
 
 	mandatory *kernel.Thread
 	optionals []*kernel.Thread
@@ -149,9 +153,8 @@ type Process struct {
 	// time — the O(np) ending overhead of Fig. 13.
 	endLock *kernel.Mutex
 
-	// Protocol state. Host code is serialized by the kernel handshake, so
-	// plain fields are safe; the happens-before edges come from the
-	// resume/yield channels.
+	// Protocol state. The bodies are stepped inline on the event loop, one
+	// at a time, so plain fields are safe.
 	running     bool
 	activeParts int
 	skipped     int
@@ -164,12 +167,31 @@ type Process struct {
 	records []task.JobRecord
 }
 
+// section is one stage of a job: a mandatory burst, then the parallel
+// optional parts lo..hi-1 (indexes into Config.Task.Optional) until the
+// relative optional deadline od.
+type section struct {
+	mandatory time.Duration
+	lo, hi    int
+	od        time.Duration
+}
+
 // NewProcess builds the process and its threads (sched_setscheduler +
 // sched_setaffinity of Fig. 6). Threads start when Start is called.
 func NewProcess(k *kernel.Kernel, cfg Config) (*Process, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	return buildProcess(k, cfg, []section{{
+		mandatory: cfg.Task.Mandatory,
+		hi:        cfg.Task.NumOptional(),
+		od:        cfg.OptionalDeadline,
+	}})
+}
+
+// buildProcess builds a validated configuration's process, running each job
+// as the given sections in order.
+func buildProcess(k *kernel.Kernel, cfg Config, sections []section) (*Process, error) {
 	term := cfg.Termination
 	if term == nil {
 		term = SigjmpTermination{}
@@ -183,6 +205,7 @@ func NewProcess(k *kernel.Kernel, cfg Config) (*Process, error) {
 		k:           k,
 		cfg:         cfg,
 		term:        term,
+		sections:    sections,
 		running:     true,
 		activeParts: np,
 		partPending: make([]bool, np),
@@ -291,13 +314,14 @@ const (
 	pmAwake
 	// pmMigrated: the migration completed; start the mandatory part.
 	pmMigrated
-	// pmAfterMand: the mandatory burst completed; fork the optional parts.
+	// pmAfterMand: a section's mandatory burst completed; fork its optional
+	// parts.
 	pmAfterMand
 	// pmSignal: a pthread_cond_signal of the wake-up loop completed; signal
 	// the next part or block for the parts to end.
 	pmSignal
 	// pmWait: a CondWait on the mandatory condvar returned; re-check
-	// remaining (spurious-wakeup loop) or wind up.
+	// remaining (spurious-wakeup loop) or move on to the next section.
 	pmWait
 	// pmAfterWind: the wind-up burst completed; record the job and loop.
 	pmAfterWind
@@ -307,22 +331,23 @@ const (
 )
 
 // mandBody is the mandatory thread's program (Fig. 6, left column) in
-// continuation form: sleep to the release, execute the mandatory part, wake
-// the parallel optional threads, wait for them all to end, execute the
-// wind-up part, sleep until the next release. Each blocking call of the
-// goroutine form is one returned action here; everything between two actions
-// is host code and runs inside one Step.
+// continuation form: sleep to the release; for each section, execute its
+// mandatory part, wake its parallel optional threads and wait for them all
+// to end; execute the wind-up part; sleep until the next release. Each
+// kernel action is one returned Next; everything between two actions is host
+// code and runs inside one Step.
 type mandBody struct {
 	p         *Process
 	jitterRng *engine.Rand
 
 	pc        mandPC
 	job       int
+	sec       int
 	release   engine.Time
 	mandStart engine.Time
 	bStart    engine.Time
-	active    int
 	sigIdx    int
+	sigEnd    int
 }
 
 //rtseed:kernelctx
@@ -344,7 +369,7 @@ func (b *mandBody) Step(c *kernel.TCB, r kernel.Resume) kernel.Next {
 		return b.fork(c)
 	case pmSignal:
 		b.sigIdx++
-		if b.sigIdx < b.active {
+		if b.sigIdx < b.sigEnd {
 			return kernel.CondSignal(b.p.optConds[b.sigIdx])
 		}
 		if fn := b.p.cfg.Probes.OnSignalLoop; fn != nil {
@@ -357,12 +382,12 @@ func (b *mandBody) Step(c *kernel.TCB, r kernel.Resume) kernel.Next {
 			b.pc = pmWait
 			return kernel.CondWait(b.p.mandCond)
 		}
-		return b.windup(c)
+		return b.nextSection(c)
 	case pmWait:
 		if b.p.remaining > 0 {
 			return kernel.CondWait(b.p.mandCond)
 		}
-		return b.windup(c)
+		return b.nextSection(c)
 	case pmAfterWind:
 		return b.finishJob(c)
 	case pmDrain:
@@ -415,25 +440,26 @@ func (b *mandBody) startMandatory(c *kernel.TCB) kernel.Next {
 	if fn := p.cfg.Probes.OnRelease; fn != nil {
 		fn(b.job, b.release, b.mandStart)
 	}
+	p.curJob = b.job
+	p.curParts = make([]task.PartRecord, p.cfg.Task.NumOptional())
+	b.sec = 0
 	b.pc = pmAfterMand
-	return kernel.Compute(p.cfg.Task.Mandatory)
+	return kernel.Compute(p.sections[0].mandatory)
 }
 
-// fork runs after the mandatory part: wake the active parallel optional
-// threads (Δb is the signal loop), or discard every part when the optional
-// deadline has already passed.
+// fork runs after a section's mandatory part: wake the section's active
+// parallel optional threads (Δb is the signal loop), or discard all of the
+// section's parts when its optional deadline has already passed.
 func (b *mandBody) fork(c *kernel.TCB) kernel.Next {
-	p, t := b.p, b.p.cfg.Task
-	np := t.NumOptional()
+	p := b.p
+	s := &p.sections[b.sec]
 	if fn := p.cfg.App.OnMandatory; fn != nil {
 		fn(b.job)
 	}
-	od := b.release.Add(p.cfg.OptionalDeadline)
-	p.curJob = b.job
+	od := b.release.Add(s.od)
 	p.curOD = od
-	p.curParts = make([]task.PartRecord, np)
 
-	active := np
+	active := s.hi - s.lo
 	if p.cfg.Adaptive != nil {
 		active = p.activeParts
 	}
@@ -441,32 +467,42 @@ func (b *mandBody) fork(c *kernel.TCB) kernel.Next {
 		// Wake the active parallel optional threads (Δb is this
 		// loop); the rest are discarded this job.
 		p.remaining = active
-		for k := 0; k < active; k++ {
+		b.sigIdx, b.sigEnd = s.lo, s.lo+active
+		for k := b.sigIdx; k < b.sigEnd; k++ {
 			p.partPending[k] = true
 		}
-		for k := active; k < np; k++ {
-			p.curParts[k] = task.PartRecord{
-				Outcome: task.PartDiscarded,
-				Length:  t.Optional[k],
-			}
-			p.emit(c, trace.KindOptDiscard, trace.PackJobPart(b.job, k))
-		}
+		p.discard(c, b.job, b.sigEnd, s.hi)
 		b.bStart = c.Now()
 		p.emit(c, trace.KindOptFork, uint64(b.job))
-		b.active = active
-		b.sigIdx = 0
 		b.pc = pmSignal
-		return kernel.CondSignal(p.optConds[0])
+		return kernel.CondSignal(p.optConds[b.sigIdx])
 	}
 	// No time left before the optional deadline: the parts are
 	// discarded — the optional threads never receive the wake-up
 	// signal (Fig. 1).
-	for k := 0; k < np; k++ {
+	p.discard(c, b.job, s.lo, s.hi)
+	return b.nextSection(c)
+}
+
+// discard records parts lo..hi-1 of job as discarded.
+func (p *Process) discard(c *kernel.TCB, job, lo, hi int) {
+	for k := lo; k < hi; k++ {
 		p.curParts[k] = task.PartRecord{
 			Outcome: task.PartDiscarded,
-			Length:  t.Optional[k],
+			Length:  p.cfg.Task.Optional[k],
 		}
-		p.emit(c, trace.KindOptDiscard, trace.PackJobPart(b.job, k))
+		p.emit(c, trace.KindOptDiscard, trace.PackJobPart(job, k))
+	}
+}
+
+// nextSection runs once a section's optional parts have all ended or been
+// discarded: start the next section's mandatory part, or wind up after the
+// last section.
+func (b *mandBody) nextSection(c *kernel.TCB) kernel.Next {
+	b.sec++
+	if b.sec < len(b.p.sections) {
+		b.pc = pmAfterMand
+		return kernel.Compute(b.p.sections[b.sec].mandatory)
 	}
 	return b.windup(c)
 }

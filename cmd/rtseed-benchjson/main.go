@@ -20,7 +20,9 @@
 //	rtseed-benchjson -trajectory [-o FILE] results/BENCH_PR3.json results/BENCH_PR6.json ...
 //
 // Each positional argument is a prior report; its BENCH_-stripped basename
-// ("PR3") becomes the point label. Every benchmark that appears in any
+// ("PR3") becomes the point label. Points are ordered by PR number, not by
+// argument order, so a lexically sorted glob (BENCH_PR12 before BENCH_PR3)
+// needs no fixing up. Every benchmark that appears in any
 // report gets a series of ns/op medians across the points it was measured
 // at, so a hot path's history across the PR stack reads out of one file.
 package main
@@ -180,10 +182,26 @@ func pointLabel(path string) string {
 	return strings.TrimPrefix(base, "BENCH_")
 }
 
-// buildTrajectory reads the per-PR reports in argument order and merges them
-// into one record. Benchmarks keep first-seen order across the reports, so
-// the output is a pure function of the inputs.
+// prNumber returns the PR number of a point label ("PR12" → 12), or -1 when
+// the label carries none.
+func prNumber(label string) int {
+	n, err := strconv.Atoi(strings.TrimPrefix(label, "PR"))
+	if err != nil || !strings.HasPrefix(label, "PR") {
+		return -1
+	}
+	return n
+}
+
+// buildTrajectory reads the per-PR reports in PR-number order — labels
+// without a number keep their argument order, after the numbered ones — and
+// merges them into one record. Benchmarks keep first-seen order across the
+// reports, so the output is a pure function of the inputs.
 func buildTrajectory(paths []string) (*Trajectory, error) {
+	paths = append([]string(nil), paths...)
+	sort.SliceStable(paths, func(i, j int) bool {
+		a, b := prNumber(pointLabel(paths[i])), prNumber(pointLabel(paths[j]))
+		return a >= 0 && (b < 0 || a < b)
+	})
 	traj := &Trajectory{}
 	series := map[string][]TrajectoryPoint{}
 	var order []string

@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -187,6 +188,30 @@ func TestBuildTrajectory(t *testing.T) {
 	}
 	if _, err := buildTrajectory([]string{bad}); err == nil {
 		t.Error("malformed report file must error")
+	}
+}
+
+func TestBuildTrajectoryOrdersByPRNumber(t *testing.T) {
+	dir := t.TempDir()
+	paths := []string{dir + "/BENCH_PR12.json", dir + "/BENCH_other.json", dir + "/BENCH_PR3.json"}
+	for _, p := range paths {
+		if err := writeFile(p, `{"benchmarks":[{"name":"BenchmarkHot","ns_per_op":1.0}]}`); err != nil {
+			t.Fatal(err)
+		}
+	}
+	traj, err := buildTrajectory(paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"PR3", "PR12", "other"}
+	if !reflect.DeepEqual(traj.Points, want) {
+		t.Fatalf("points = %v, want %v", traj.Points, want)
+	}
+	if s := traj.Benchmarks[0].Series; s[0].Point != "PR3" || s[1].Point != "PR12" {
+		t.Fatalf("series = %+v, want PR3 first", s)
+	}
+	if paths[0] != dir+"/BENCH_PR12.json" {
+		t.Fatal("buildTrajectory reordered its argument slice")
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // itself and n=100k+ thread simulations need no goroutines at all. Both
 // executors sit behind the same kernel API and produce byte-identical
 // traces for the same program (fuzz-proven by sched.FuzzBodyVsGoroutine);
-// the goroutine path is retained as the differential oracle.
+// the goroutine path is a test-only oracle with no production caller.
 
 // Body is a resumable task body. The kernel calls Step every time the
 // thread would run host code: Step performs any amount of host work

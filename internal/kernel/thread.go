@@ -195,8 +195,8 @@ func (t *Thread) preemptible() bool { return t.state == StateComputing }
 // is a blocking function hand-shaken with the kernel over channels. The
 // body runs when the thread is started and first dispatched. NewThread
 // returns an error for out-of-range priorities or CPUs. New code should
-// prefer the continuation executor (NewBodyThread); the goroutine form is
-// retained as the differential oracle and for test scenarios where a
+// use the continuation executor (NewBodyThread); the goroutine form is a
+// test-only oracle with no production caller, also used by tests where a
 // blocking script reads better.
 func (k *Kernel) NewThread(cfg ThreadConfig, body func(*TCB)) (*Thread, error) {
 	t, err := k.newThread(cfg)

@@ -294,20 +294,18 @@ func TestPracticalConfigValidation(t *testing.T) {
 	}
 }
 
-// practicalRun runs cfg on a fresh traced kernel and returns the job
-// records and the tracer's retained records.
+// practicalRun runs cfg with its optional parts placed One-by-One on a fresh
+// traced kernel and returns the job records and the tracer's records.
 func practicalRun(t *testing.T, cfg PracticalConfig) ([]task.JobRecord, []trace.Record) {
 	t.Helper()
 	k := newSim(t, machine.NoLoad)
 	tr := trace.New(trace.Config{CPUs: k.Machine().Topology().NumHWThreads(), Capacity: 1 << 14})
 	k.SetTrace(tr)
-	if cfg.OptionalCPUs == nil {
-		cpus, err := assign.HWThreads(k.Machine().Topology(), assign.OneByOne, cfg.Task.NumOptional())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.OptionalCPUs = cpus
+	cpus, err := assign.HWThreads(k.Machine().Topology(), assign.OneByOne, cfg.Task.NumOptional())
+	if err != nil {
+		t.Fatal(err)
 	}
+	cfg.OptionalCPUs = cpus
 	p, err := NewPracticalProcess(k, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -84,6 +84,40 @@ func TestRunQuickReport(t *testing.T) {
 	}
 }
 
+// TestRunQuickGolden pins the whole -quick report byte for byte: the Fig. 3
+// schedule, the Figs. 10-13 overhead tables, the Table I termination table
+// and the acceptance sections. The clock is frozen so the footer is fixed
+// too. To accept an intended change, regenerate testdata/quick.golden from
+// `rtseed-repro -quick -workers 2` with the footer set to "Generated in 0s.".
+func TestRunQuickGolden(t *testing.T) {
+	orig := now
+	defer func() { now = orig }()
+	frozen := time.Unix(0, 0)
+	now = func() time.Time { return frozen }
+	var buf bytes.Buffer
+	if err := run(&buf, 100, true, 2); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "quick.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := buf.Bytes()
+	if bytes.Equal(got, want) {
+		return
+	}
+	path := filepath.Join(t.TempDir(), "quick.actual")
+	if err := os.WriteFile(path, got, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	gotLines, wantLines := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	line := 0
+	for line < len(gotLines) && line < len(wantLines) && gotLines[line] == wantLines[line] {
+		line++
+	}
+	t.Fatalf("report differs from testdata/quick.golden at line %d; actual output written to %s", line+1, path)
+}
+
 // The binary trace is byte-identical across worker counts: the traced
 // scenario is a single-threaded simulation, so -workers (which only
 // parallelizes the report's sweeps) must not leak into the trace bytes.

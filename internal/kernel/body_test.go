@@ -363,7 +363,12 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 // section, a yield and a migration — through both executors and requires
 // byte-identical trace files. The sched package fuzzes the same property
 // over random task sets (FuzzBodyVsGoroutine); this is the deterministic
-// in-kernel anchor.
+// in-kernel anchor. The tail of m's program pins what the many-task bodies
+// never issue: a relative Sleep (resolved when the action executes), the
+// degenerate actions the continuation path short-circuits — Compute(0),
+// ComputeInterruptible(0) and a Migrate to the current CPU — and a
+// Compute(0) issued while a higher-priority thread h is ready on m's CPU,
+// where a missing short-circuit would yield the CPU early.
 func TestBodyVsGoroutineIdenticalTrace(t *testing.T) {
 	run := func(continuation bool) []byte {
 		model := machine.DefaultCostModel()
@@ -376,6 +381,7 @@ func TestBodyVsGoroutineIdenticalTrace(t *testing.T) {
 		var buf bytes.Buffer
 		k.SetTrace(trace.New(trace.Config{CPUs: m.Topology().NumHWThreads(), Sink: &buf}))
 		cv := k.NewCondVar("cv")
+		hcv := k.NewCondVar("hcv")
 		mu := k.NewMutex("mu")
 
 		if continuation {
@@ -397,6 +403,19 @@ func TestBodyVsGoroutineIdenticalTrace(t *testing.T) {
 				act(Yield()),
 				act(Migrate(2)),
 				act(Compute(time.Millisecond)),
+				act(Sleep(time.Millisecond)),
+				act(Compute(0)),
+				act(ComputeInterruptible(0)),
+				act(Migrate(2)),
+				act(Compute(time.Millisecond)),
+				act(CondSignal(hcv)),
+				act(Compute(0)),
+				act(ChargeOp(machine.OpSigSetjmp)),
+				act(Compute(time.Millisecond)),
+			}}).Start()
+			k.MustNewBodyThread(ThreadConfig{Name: "h", Priority: 70, CPU: 2}, &seq{steps: []func(*TCB, Resume) Next{
+				act(CondWait(hcv)),
+				act(Compute(time.Millisecond)),
 			}}).Start()
 		} else {
 			k.MustNewThread(ThreadConfig{Name: "w", Priority: 60, CPU: 1}, func(c *TCB) {
@@ -416,6 +435,19 @@ func TestBodyVsGoroutineIdenticalTrace(t *testing.T) {
 				c.SetAlarmMask(false)
 				c.Yield()
 				c.Migrate(2)
+				c.Compute(time.Millisecond)
+				c.Sleep(time.Millisecond)
+				c.Compute(0)
+				c.ComputeInterruptible(0)
+				c.Migrate(2)
+				c.Compute(time.Millisecond)
+				c.CondSignal(hcv)
+				c.Compute(0)
+				c.ChargeOp(machine.OpSigSetjmp)
+				c.Compute(time.Millisecond)
+			}).Start()
+			k.MustNewThread(ThreadConfig{Name: "h", Priority: 70, CPU: 2}, func(c *TCB) {
+				c.CondWait(hcv)
 				c.Compute(time.Millisecond)
 			}).Start()
 		}

@@ -16,9 +16,13 @@ import (
 // continuation bodies NewManyTask builds and once with blocking bodies on the
 // goroutine executor — same task set, thread names, priorities and CPUs — and
 // the two trace files must be byte-identical. The executors share every
-// kernel handler, so any divergence — an extra request, a missing
-// degenerate-op short-circuit, a reordered wake — shows up as a differing
-// trace byte. Wired into `make fuzz-smoke` for 30s per CI run.
+// kernel handler, so any divergence in the body programs — an extra or
+// missing request, a changed burst length or release time, a reordered
+// wake — shows up as a differing trace byte. The many-task bodies issue only
+// SleepUntil and positive Computes, so the degenerate-action short-circuits
+// and relative Sleep are pinned by the kernel's
+// TestBodyVsGoroutineIdenticalTrace instead. Wired into `make fuzz-smoke`
+// for 30s per CI run.
 func FuzzBodyVsGoroutine(f *testing.F) {
 	f.Add(uint64(1), uint8(4), uint8(60), false)
 	f.Add(uint64(0xbeef), uint8(17), uint8(15), true)

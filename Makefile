@@ -10,7 +10,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: ci vet lint lint-stats vuln build test test-race bench-smoke bench bench-json bench-trajectory trace-smoke cluster-smoke workload-smoke fuzz-smoke tools clean
+.PHONY: ci vet lint lint-stats loc vuln build test test-race bench-smoke bench bench-json bench-trajectory trace-smoke cluster-smoke workload-smoke fuzz-smoke tools clean
 
 ci: vet lint build test test-race bench-smoke trace-smoke cluster-smoke workload-smoke fuzz-smoke vuln
 
@@ -50,6 +50,14 @@ lint-stats:
 	@mkdir -p results
 	$(GO) run ./cmd/rtseed-vet -stats ./... > results/VET_STATS.json
 	@cat results/VET_STATS.json
+
+# loc prints the non-test Go line count, the measure ROADMAP tracks
+# simplification progress in: every tracked .go file except tests, lint
+# fixtures (testdata/) and the benchmark harness (perfbench/), in total and
+# for the analyzer suite under internal/lint.
+LOC_FILES = git ls-files '*.go' | grep -v '_test.go$$' | grep -v /testdata/ | grep -v '^perfbench/'
+loc:
+	@echo "non-test Go lines: $$($(LOC_FILES) | xargs cat | wc -l) total, $$($(LOC_FILES) | grep '^internal/lint/' | xargs cat | wc -l) in internal/lint"
 
 # vuln scans dependencies for known vulnerabilities. Advisory only: the scan
 # needs the network and the database moves independently of this repository,

@@ -24,6 +24,7 @@ import (
 	"rtseed/internal/core"
 	"rtseed/internal/engine"
 	"rtseed/internal/kernel"
+	"rtseed/internal/kernel/oracle"
 	"rtseed/internal/machine"
 	"rtseed/internal/overhead"
 	"rtseed/internal/partition"
@@ -346,7 +347,7 @@ func BenchmarkAblationSignalVsBroadcast(b *testing.B) {
 			for i := 0; i < benchNP; i++ {
 				i := i
 				cpu := machine.HWThread(1 + i%227)
-				w := k.MustNewThread(kernel.ThreadConfig{Name: "w", Priority: 41, CPU: cpu}, func(c *kernel.TCB) {
+				w := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "w", Priority: 41, CPU: cpu}, func(c *oracle.TCB) {
 					for round := 0; round < b.N; round++ {
 						if mode == "broadcast" {
 							c.CondWait(shared)
@@ -362,7 +363,7 @@ func BenchmarkAblationSignalVsBroadcast(b *testing.B) {
 				w.Start()
 			}
 			var wakeTotal time.Duration
-			m := k.MustNewThread(kernel.ThreadConfig{Name: "m", Priority: 90, CPU: 0}, func(c *kernel.TCB) {
+			m := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "m", Priority: 90, CPU: 0}, func(c *oracle.TCB) {
 				for round := 0; round < b.N; round++ {
 					c.Sleep(time.Millisecond) // let waiters park
 					remaining = benchNP
@@ -381,7 +382,7 @@ func BenchmarkAblationSignalVsBroadcast(b *testing.B) {
 				}
 			})
 			m.Start()
-			k.Run()
+			oracle.Run(k)
 			b.ReportMetric(float64(wakeTotal)/float64(b.N), "wake-ns/round")
 		})
 	}

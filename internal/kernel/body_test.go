@@ -1,4 +1,4 @@
-package kernel
+package kernel_test
 
 import (
 	"bytes"
@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"rtseed/internal/engine"
+	"rtseed/internal/kernel"
+	"rtseed/internal/kernel/oracle"
 	"rtseed/internal/machine"
 	"rtseed/internal/trace"
 )
@@ -15,13 +17,13 @@ import (
 // steps, one kernel action each, then exits. It makes porting a blocking
 // test script mechanical — each blocking call becomes one element.
 type seq struct {
-	steps []func(c *TCB, r Resume) Next
+	steps []func(c *kernel.TCB, r kernel.Resume) kernel.Next
 	i     int
 }
 
-func (s *seq) Step(c *TCB, r Resume) Next {
+func (s *seq) Step(c *kernel.TCB, r kernel.Resume) kernel.Next {
 	if s.i >= len(s.steps) {
-		return Done()
+		return kernel.Done()
 	}
 	f := s.steps[s.i]
 	s.i++
@@ -29,26 +31,26 @@ func (s *seq) Step(c *TCB, r Resume) Next {
 }
 
 // act adapts a bare action to a seq step.
-func act(n Next) func(*TCB, Resume) Next {
-	return func(*TCB, Resume) Next { return n }
+func act(n kernel.Next) func(*kernel.TCB, kernel.Resume) kernel.Next {
+	return func(*kernel.TCB, kernel.Resume) kernel.Next { return n }
 }
 
 func TestBodyThreadRunsToExit(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	ran := false
-	th := k.MustNewBodyThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, &seq{steps: []func(*TCB, Resume) Next{
-		act(Compute(time.Millisecond)),
-		func(c *TCB, r Resume) Next {
+	th := k.MustNewBodyThread(kernel.ThreadConfig{Name: "t", Priority: 50, CPU: 0}, &seq{steps: []func(*kernel.TCB, kernel.Resume) kernel.Next{
+		act(kernel.Compute(time.Millisecond)),
+		func(c *kernel.TCB, r kernel.Resume) kernel.Next {
 			ran = r.Completed
-			return Done()
+			return kernel.Done()
 		},
 	}})
 	th.Start()
-	k.Run()
+	oracle.Run(k)
 	if !ran {
 		t.Fatal("continuation body did not run to the post-compute step")
 	}
-	if th.State() != StateExited {
+	if th.State() != kernel.StateExited {
 		t.Fatalf("state %v, want exited", th.State())
 	}
 }
@@ -56,15 +58,15 @@ func TestBodyThreadRunsToExit(t *testing.T) {
 func TestBodyComputeAdvancesVirtualTime(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var end engine.Time
-	th := k.MustNewBodyThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, &seq{steps: []func(*TCB, Resume) Next{
-		act(Compute(10 * time.Millisecond)),
-		func(c *TCB, r Resume) Next {
+	th := k.MustNewBodyThread(kernel.ThreadConfig{Name: "t", Priority: 50, CPU: 0}, &seq{steps: []func(*kernel.TCB, kernel.Resume) kernel.Next{
+		act(kernel.Compute(10 * time.Millisecond)),
+		func(c *kernel.TCB, r kernel.Resume) kernel.Next {
 			end = c.Now()
-			return Done()
+			return kernel.Done()
 		},
 	}})
 	th.Start()
-	k.Run()
+	oracle.Run(k)
 	if end < engine.At(10*time.Millisecond) || end > engine.At(11*time.Millisecond) {
 		t.Fatalf("end %v, want 10ms + dispatch overhead", end)
 	}
@@ -73,24 +75,24 @@ func TestBodyComputeAdvancesVirtualTime(t *testing.T) {
 func TestBodyHigherPriorityPreempts(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var loEnd, hiEnd engine.Time
-	lo := k.MustNewBodyThread(ThreadConfig{Name: "lo", Priority: 50, CPU: 0}, &seq{steps: []func(*TCB, Resume) Next{
-		act(Compute(10 * time.Millisecond)),
-		func(c *TCB, r Resume) Next {
+	lo := k.MustNewBodyThread(kernel.ThreadConfig{Name: "lo", Priority: 50, CPU: 0}, &seq{steps: []func(*kernel.TCB, kernel.Resume) kernel.Next{
+		act(kernel.Compute(10 * time.Millisecond)),
+		func(c *kernel.TCB, r kernel.Resume) kernel.Next {
 			loEnd = c.Now()
-			return Done()
+			return kernel.Done()
 		},
 	}})
-	hi := k.MustNewBodyThread(ThreadConfig{Name: "hi", Priority: 60, CPU: 0}, &seq{steps: []func(*TCB, Resume) Next{
-		act(SleepUntil(engine.At(2 * time.Millisecond))),
-		act(Compute(5 * time.Millisecond)),
-		func(c *TCB, r Resume) Next {
+	hi := k.MustNewBodyThread(kernel.ThreadConfig{Name: "hi", Priority: 60, CPU: 0}, &seq{steps: []func(*kernel.TCB, kernel.Resume) kernel.Next{
+		act(kernel.SleepUntil(engine.At(2 * time.Millisecond))),
+		act(kernel.Compute(5 * time.Millisecond)),
+		func(c *kernel.TCB, r kernel.Resume) kernel.Next {
 			hiEnd = c.Now()
-			return Done()
+			return kernel.Done()
 		},
 	}})
 	lo.Start()
 	hi.Start()
-	k.Run()
+	oracle.Run(k)
 	if hiEnd >= loEnd {
 		t.Fatalf("high-priority thread should finish first: hi=%v lo=%v", hiEnd, loEnd)
 	}
@@ -102,12 +104,12 @@ func TestBodyHigherPriorityPreempts(t *testing.T) {
 func TestBodyEqualPriorityFIFO(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var order []string
-	mk := func(name string, d time.Duration) *Thread {
-		return k.MustNewBodyThread(ThreadConfig{Name: name, Priority: 50, CPU: 0}, &seq{steps: []func(*TCB, Resume) Next{
-			act(Compute(d)),
-			func(c *TCB, r Resume) Next {
+	mk := func(name string, d time.Duration) *kernel.Thread {
+		return k.MustNewBodyThread(kernel.ThreadConfig{Name: name, Priority: 50, CPU: 0}, &seq{steps: []func(*kernel.TCB, kernel.Resume) kernel.Next{
+			act(kernel.Compute(d)),
+			func(c *kernel.TCB, r kernel.Resume) kernel.Next {
 				order = append(order, name)
-				return Done()
+				return kernel.Done()
 			},
 		}})
 	}
@@ -115,7 +117,7 @@ func TestBodyEqualPriorityFIFO(t *testing.T) {
 	b := mk("b", time.Millisecond)
 	a.Start()
 	b.Start()
-	k.Run()
+	oracle.Run(k)
 	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
 		t.Fatalf("SCHED_FIFO order %v, want [a b]", order)
 	}
@@ -125,22 +127,22 @@ func TestBodyCondVarHandshake(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	cv := k.NewCondVar("cv")
 	got := false
-	consumer := k.MustNewBodyThread(ThreadConfig{Name: "c", Priority: 60, CPU: 1}, &seq{steps: []func(*TCB, Resume) Next{
-		act(CondWait(cv)),
-		func(c *TCB, r Resume) Next {
+	consumer := k.MustNewBodyThread(kernel.ThreadConfig{Name: "c", Priority: 60, CPU: 1}, &seq{steps: []func(*kernel.TCB, kernel.Resume) kernel.Next{
+		act(kernel.CondWait(cv)),
+		func(c *kernel.TCB, r kernel.Resume) kernel.Next {
 			got = true
-			return Done()
+			return kernel.Done()
 		},
 	}})
-	producer := k.MustNewBodyThread(ThreadConfig{Name: "p", Priority: 50, CPU: 0}, &seq{steps: []func(*TCB, Resume) Next{
-		act(Compute(time.Millisecond)),
-		act(CondSignal(cv)),
+	producer := k.MustNewBodyThread(kernel.ThreadConfig{Name: "p", Priority: 50, CPU: 0}, &seq{steps: []func(*kernel.TCB, kernel.Resume) kernel.Next{
+		act(kernel.Compute(time.Millisecond)),
+		act(kernel.CondSignal(cv)),
 	}})
 	consumer.Start()
 	producer.Start()
-	k.Run()
+	oracle.Run(k)
 	if !got {
-		t.Fatal("consumer never woke from CondWait")
+		t.Fatal("consumer never woke from kernel.CondWait")
 	}
 }
 
@@ -148,13 +150,13 @@ func TestBodyMutexSerializes(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	mu := k.NewMutex("mu")
 	var order []string
-	mk := func(name string, cpu machine.HWThread) *Thread {
-		return k.MustNewBodyThread(ThreadConfig{Name: name, Priority: 50, CPU: cpu}, &seq{steps: []func(*TCB, Resume) Next{
-			act(MutexLock(mu)),
-			act(Compute(2 * time.Millisecond)),
-			func(c *TCB, r Resume) Next {
+	mk := func(name string, cpu machine.HWThread) *kernel.Thread {
+		return k.MustNewBodyThread(kernel.ThreadConfig{Name: name, Priority: 50, CPU: cpu}, &seq{steps: []func(*kernel.TCB, kernel.Resume) kernel.Next{
+			act(kernel.MutexLock(mu)),
+			act(kernel.Compute(2 * time.Millisecond)),
+			func(c *kernel.TCB, r kernel.Resume) kernel.Next {
 				order = append(order, name)
-				return MutexUnlock(mu)
+				return kernel.MutexUnlock(mu)
 			},
 		}})
 	}
@@ -162,7 +164,7 @@ func TestBodyMutexSerializes(t *testing.T) {
 	b := mk("b", 1)
 	a.Start()
 	b.Start()
-	k.Run()
+	oracle.Run(k)
 	if len(order) != 2 {
 		t.Fatalf("order %v, want both threads through the critical section", order)
 	}
@@ -172,22 +174,24 @@ func TestBodyMutexSerializes(t *testing.T) {
 }
 
 // TestBodyTimerTerminatesInterruptibleBurst is the sigjmp-termination shape
-// on the continuation executor: arm the one-shot timer, start an
-// interruptible burst, and observe the termination through Resume.
+// as a hand-written body: arm the one-shot timer, start an
+// interruptible burst, and observe the termination through kernel.Resume.
 func TestBodyTimerTerminatesInterruptibleBurst(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var completed bool
 	var ran time.Duration
-	th := k.MustNewBodyThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, &seq{steps: []func(*TCB, Resume) Next{
-		func(c *TCB, r Resume) Next { return TimerSet(c.Now().Add(5 * time.Millisecond)) },
-		act(ComputeInterruptible(50 * time.Millisecond)),
-		func(c *TCB, r Resume) Next {
+	th := k.MustNewBodyThread(kernel.ThreadConfig{Name: "t", Priority: 50, CPU: 0}, &seq{steps: []func(*kernel.TCB, kernel.Resume) kernel.Next{
+		func(c *kernel.TCB, r kernel.Resume) kernel.Next {
+			return kernel.TimerSet(c.Now().Add(5 * time.Millisecond))
+		},
+		act(kernel.ComputeInterruptible(50 * time.Millisecond)),
+		func(c *kernel.TCB, r kernel.Resume) kernel.Next {
 			completed, ran = r.Completed, r.Ran
-			return SetAlarmMask(false)
+			return kernel.SetAlarmMask(false)
 		},
 	}})
 	th.Start()
-	k.Run()
+	oracle.Run(k)
 	if completed {
 		t.Fatal("burst should have been terminated by the timer")
 	}
@@ -199,19 +203,19 @@ func TestBodyTimerTerminatesInterruptibleBurst(t *testing.T) {
 func TestBodyRelativeSleepResolvesAtExecution(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var afterCompute, woke engine.Time
-	th := k.MustNewBodyThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, &seq{steps: []func(*TCB, Resume) Next{
-		act(Compute(3 * time.Millisecond)),
-		func(c *TCB, r Resume) Next {
+	th := k.MustNewBodyThread(kernel.ThreadConfig{Name: "t", Priority: 50, CPU: 0}, &seq{steps: []func(*kernel.TCB, kernel.Resume) kernel.Next{
+		act(kernel.Compute(3 * time.Millisecond)),
+		func(c *kernel.TCB, r kernel.Resume) kernel.Next {
 			afterCompute = c.Now()
-			return Sleep(7 * time.Millisecond)
+			return kernel.Sleep(7 * time.Millisecond)
 		},
-		func(c *TCB, r Resume) Next {
+		func(c *kernel.TCB, r kernel.Resume) kernel.Next {
 			woke = c.Now()
-			return Done()
+			return kernel.Done()
 		},
 	}})
 	th.Start()
-	k.Run()
+	oracle.Run(k)
 	if want := afterCompute.Add(7 * time.Millisecond); woke < want {
 		t.Fatalf("woke at %v, want >= %v (sleep must be relative to its execution instant)", woke, want)
 	}
@@ -220,18 +224,18 @@ func TestBodyRelativeSleepResolvesAtExecution(t *testing.T) {
 func TestBodyMigrateMovesThread(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var before, after machine.HWThread
-	th := k.MustNewBodyThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, &seq{steps: []func(*TCB, Resume) Next{
-		func(c *TCB, r Resume) Next {
+	th := k.MustNewBodyThread(kernel.ThreadConfig{Name: "t", Priority: 50, CPU: 0}, &seq{steps: []func(*kernel.TCB, kernel.Resume) kernel.Next{
+		func(c *kernel.TCB, r kernel.Resume) kernel.Next {
 			before = c.HWThread()
-			return Migrate(3)
+			return kernel.Migrate(3)
 		},
-		func(c *TCB, r Resume) Next {
+		func(c *kernel.TCB, r kernel.Resume) kernel.Next {
 			after = c.HWThread()
-			return Compute(time.Millisecond)
+			return kernel.Compute(time.Millisecond)
 		},
 	}})
 	th.Start()
-	k.Run()
+	oracle.Run(k)
 	if before != 0 || after != 3 {
 		t.Fatalf("migrate moved %d -> %d, want 0 -> 3", before, after)
 	}
@@ -249,24 +253,24 @@ func TestBodyImmediateActionsTrampoline(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	const rounds = 200000
 	n := 0
-	body := StepFunc(func(c *TCB, r Resume) Next {
+	body := kernel.StepFunc(func(c *kernel.TCB, r kernel.Resume) kernel.Next {
 		n++
 		switch {
 		case n > rounds:
-			return Done()
+			return kernel.Done()
 		case n%4 == 0:
-			return Compute(0)
+			return kernel.Compute(0)
 		case n%4 == 1:
-			return Migrate(c.HWThread())
+			return kernel.Migrate(c.HWThread())
 		case n%4 == 2:
-			return SetAlarmMask(n%8 == 2)
+			return kernel.SetAlarmMask(n%8 == 2)
 		default:
-			return SleepUntil(engine.At(0))
+			return kernel.SleepUntil(engine.At(0))
 		}
 	})
-	th := k.MustNewBodyThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, body)
+	th := k.MustNewBodyThread(kernel.ThreadConfig{Name: "t", Priority: 50, CPU: 0}, body)
 	th.Start()
-	k.Run()
+	oracle.Run(k)
 	if n <= rounds {
 		t.Fatalf("body stepped %d times, want > %d", n, rounds)
 	}
@@ -274,38 +278,38 @@ func TestBodyImmediateActionsTrampoline(t *testing.T) {
 
 func TestBodyZeroNextPanics(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
-	th := k.MustNewBodyThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0},
-		StepFunc(func(c *TCB, r Resume) Next { return Next{} }))
+	th := k.MustNewBodyThread(kernel.ThreadConfig{Name: "t", Priority: 50, CPU: 0},
+		kernel.StepFunc(func(c *kernel.TCB, r kernel.Resume) kernel.Next { return kernel.Next{} }))
 	th.Start()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("zero Next must panic")
+			t.Fatal("zero kernel.Next must panic")
 		}
 	}()
-	k.Run()
+	oracle.Run(k)
 }
 
 func TestNewBodyThreadValidation(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
-	ok := StepFunc(func(c *TCB, r Resume) Next { return Done() })
-	if _, err := k.NewBodyThread(ThreadConfig{Priority: 0, CPU: 0}, ok); err == nil {
+	ok := kernel.StepFunc(func(c *kernel.TCB, r kernel.Resume) kernel.Next { return kernel.Done() })
+	if _, err := k.NewBodyThread(kernel.ThreadConfig{Priority: 0, CPU: 0}, ok); err == nil {
 		t.Fatal("priority 0 must be rejected")
 	}
-	if _, err := k.NewBodyThread(ThreadConfig{Priority: 100, CPU: 0}, ok); err == nil {
+	if _, err := k.NewBodyThread(kernel.ThreadConfig{Priority: 100, CPU: 0}, ok); err == nil {
 		t.Fatal("priority 100 must be rejected")
 	}
-	if _, err := k.NewBodyThread(ThreadConfig{Priority: 50, CPU: 99}, ok); err == nil {
+	if _, err := k.NewBodyThread(kernel.ThreadConfig{Priority: 50, CPU: 99}, ok); err == nil {
 		t.Fatal("out-of-topology CPU must be rejected")
 	}
-	if _, err := k.NewBodyThread(ThreadConfig{Priority: 50, CPU: 0}, nil); err == nil {
+	if _, err := k.NewBodyThread(kernel.ThreadConfig{Priority: 50, CPU: 0}, nil); err == nil {
 		t.Fatal("nil body must be rejected")
 	}
 }
 
-// TestShutdownLeavesNoGoroutines is the leak check for both executors: after
-// Run (which shuts the kernel down), no goroutine created for a simulated
-// thread may remain — continuation threads never create one, goroutine
-// threads are unwound by kill.
+// TestShutdownLeavesNoGoroutines is the leak check for both body forms:
+// after the run, no goroutine created for a simulated thread may remain —
+// continuation bodies never create one, and oracle.Run unwinds the scripts
+// still parked in a kernel call.
 func TestShutdownLeavesNoGoroutines(t *testing.T) {
 	for _, mode := range []string{"continuation", "goroutine", "mixed"} {
 		t.Run(mode, func(t *testing.T) {
@@ -313,36 +317,36 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 			k := testKernel(t, machine.NoLoad)
 			cv := k.NewCondVar("never")
 			for i := 0; i < 16; i++ {
-				cfg := ThreadConfig{Name: "t", Priority: 50, CPU: machine.HWThread(i % 8)}
+				cfg := kernel.ThreadConfig{Name: "t", Priority: 50, CPU: machine.HWThread(i % 8)}
 				goroutineForm := mode == "goroutine" || (mode == "mixed" && i%2 == 1)
 				if i%4 == 0 {
 					// Parked forever on a condition variable: unwound only
 					// by Shutdown.
 					if goroutineForm {
-						k.MustNewThread(cfg, func(c *TCB) { c.CondWait(cv) }).Start()
+						oracle.MustNewThread(k, cfg, func(c *oracle.TCB) { c.CondWait(cv) }).Start()
 					} else {
-						k.MustNewBodyThread(cfg, &seq{steps: []func(*TCB, Resume) Next{
-							act(CondWait(cv)),
+						k.MustNewBodyThread(cfg, &seq{steps: []func(*kernel.TCB, kernel.Resume) kernel.Next{
+							act(kernel.CondWait(cv)),
 						}}).Start()
 					}
 					continue
 				}
 				if goroutineForm {
-					k.MustNewThread(cfg, func(c *TCB) { c.Compute(time.Millisecond) }).Start()
+					oracle.MustNewThread(k, cfg, func(c *oracle.TCB) { c.Compute(time.Millisecond) }).Start()
 				} else {
-					k.MustNewBodyThread(cfg, &seq{steps: []func(*TCB, Resume) Next{
-						act(Compute(time.Millisecond)),
+					k.MustNewBodyThread(cfg, &seq{steps: []func(*kernel.TCB, kernel.Resume) kernel.Next{
+						act(kernel.Compute(time.Millisecond)),
 					}}).Start()
 				}
 			}
-			k.Run()
+			oracle.Run(k)
 			for _, th := range k.Threads() {
-				if th.State() != StateExited {
+				if th.State() != kernel.StateExited {
 					t.Fatalf("thread %v still %v after shutdown", th, th.State())
 				}
 			}
-			// Goroutine teardown after kill's done-channel receive is
-			// asynchronous by a scheduler tick; poll briefly.
+			// Goroutine teardown after the unwinder's done-channel receive
+			// is asynchronous by a scheduler tick; poll briefly.
 			deadline := time.Now().Add(2 * time.Second)
 			for {
 				runtime.Gosched()
@@ -360,14 +364,15 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 
 // TestBodyVsGoroutineIdenticalTrace runs one mixed scenario — sleeps,
 // computes, an interruptible burst with a timer, condvar traffic, a mutex
-// section, a yield and a migration — through both executors and requires
+// section, a yield and a migration — once as continuation bodies and once as
+// oracle scripts, and requires
 // byte-identical trace files. The sched package fuzzes the same property
 // over random task sets (FuzzBodyVsGoroutine); this is the deterministic
 // in-kernel anchor. The tail of m's program pins what the many-task bodies
-// never issue: a relative Sleep (resolved when the action executes), the
-// degenerate actions the continuation path short-circuits — Compute(0),
-// ComputeInterruptible(0) and a Migrate to the current CPU — and a
-// Compute(0) issued while a higher-priority thread h is ready on m's CPU,
+// never issue: a relative kernel.Sleep (resolved when the action executes), the
+// degenerate actions the continuation path short-circuits — kernel.Compute(0),
+// kernel.ComputeInterruptible(0) and a kernel.Migrate to the current CPU — and a
+// kernel.Compute(0) issued while a higher-priority thread h is ready on m's CPU,
 // where a missing short-circuit would yield the CPU early.
 func TestBodyVsGoroutineIdenticalTrace(t *testing.T) {
 	run := func(continuation bool) []byte {
@@ -377,7 +382,7 @@ func TestBodyVsGoroutineIdenticalTrace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		k := New(engine.New(), m)
+		k := kernel.New(engine.New(), m)
 		var buf bytes.Buffer
 		k.SetTrace(trace.New(trace.Config{CPUs: m.Topology().NumHWThreads(), Sink: &buf}))
 		cv := k.NewCondVar("cv")
@@ -385,46 +390,48 @@ func TestBodyVsGoroutineIdenticalTrace(t *testing.T) {
 		mu := k.NewMutex("mu")
 
 		if continuation {
-			k.MustNewBodyThread(ThreadConfig{Name: "w", Priority: 60, CPU: 1}, &seq{steps: []func(*TCB, Resume) Next{
-				act(CondWait(cv)),
-				act(MutexLock(mu)),
-				act(Compute(2 * time.Millisecond)),
-				act(MutexUnlock(mu)),
+			k.MustNewBodyThread(kernel.ThreadConfig{Name: "w", Priority: 60, CPU: 1}, &seq{steps: []func(*kernel.TCB, kernel.Resume) kernel.Next{
+				act(kernel.CondWait(cv)),
+				act(kernel.MutexLock(mu)),
+				act(kernel.Compute(2 * time.Millisecond)),
+				act(kernel.MutexUnlock(mu)),
 			}}).Start()
-			k.MustNewBodyThread(ThreadConfig{Name: "m", Priority: 50, CPU: 0}, &seq{steps: []func(*TCB, Resume) Next{
-				act(SleepUntil(engine.At(time.Millisecond))),
-				act(MutexLock(mu)),
-				act(CondSignal(cv)),
-				act(Compute(time.Millisecond)),
-				act(MutexUnlock(mu)),
-				func(c *TCB, r Resume) Next { return TimerSet(c.Now().Add(time.Millisecond)) },
-				act(ComputeInterruptible(10 * time.Millisecond)),
-				act(SetAlarmMask(false)),
-				act(Yield()),
-				act(Migrate(2)),
-				act(Compute(time.Millisecond)),
-				act(Sleep(time.Millisecond)),
-				act(Compute(0)),
-				act(ComputeInterruptible(0)),
-				act(Migrate(2)),
-				act(Compute(time.Millisecond)),
-				act(CondSignal(hcv)),
-				act(Compute(0)),
-				act(ChargeOp(machine.OpSigSetjmp)),
-				act(Compute(time.Millisecond)),
+			k.MustNewBodyThread(kernel.ThreadConfig{Name: "m", Priority: 50, CPU: 0}, &seq{steps: []func(*kernel.TCB, kernel.Resume) kernel.Next{
+				act(kernel.SleepUntil(engine.At(time.Millisecond))),
+				act(kernel.MutexLock(mu)),
+				act(kernel.CondSignal(cv)),
+				act(kernel.Compute(time.Millisecond)),
+				act(kernel.MutexUnlock(mu)),
+				func(c *kernel.TCB, r kernel.Resume) kernel.Next {
+					return kernel.TimerSet(c.Now().Add(time.Millisecond))
+				},
+				act(kernel.ComputeInterruptible(10 * time.Millisecond)),
+				act(kernel.SetAlarmMask(false)),
+				act(kernel.Yield()),
+				act(kernel.Migrate(2)),
+				act(kernel.Compute(time.Millisecond)),
+				act(kernel.Sleep(time.Millisecond)),
+				act(kernel.Compute(0)),
+				act(kernel.ComputeInterruptible(0)),
+				act(kernel.Migrate(2)),
+				act(kernel.Compute(time.Millisecond)),
+				act(kernel.CondSignal(hcv)),
+				act(kernel.Compute(0)),
+				act(kernel.ChargeOp(machine.OpSigSetjmp)),
+				act(kernel.Compute(time.Millisecond)),
 			}}).Start()
-			k.MustNewBodyThread(ThreadConfig{Name: "h", Priority: 70, CPU: 2}, &seq{steps: []func(*TCB, Resume) Next{
-				act(CondWait(hcv)),
-				act(Compute(time.Millisecond)),
+			k.MustNewBodyThread(kernel.ThreadConfig{Name: "h", Priority: 70, CPU: 2}, &seq{steps: []func(*kernel.TCB, kernel.Resume) kernel.Next{
+				act(kernel.CondWait(hcv)),
+				act(kernel.Compute(time.Millisecond)),
 			}}).Start()
 		} else {
-			k.MustNewThread(ThreadConfig{Name: "w", Priority: 60, CPU: 1}, func(c *TCB) {
+			oracle.MustNewThread(k, kernel.ThreadConfig{Name: "w", Priority: 60, CPU: 1}, func(c *oracle.TCB) {
 				c.CondWait(cv)
 				c.MutexLock(mu)
 				c.Compute(2 * time.Millisecond)
 				c.MutexUnlock(mu)
 			}).Start()
-			k.MustNewThread(ThreadConfig{Name: "m", Priority: 50, CPU: 0}, func(c *TCB) {
+			oracle.MustNewThread(k, kernel.ThreadConfig{Name: "m", Priority: 50, CPU: 0}, func(c *oracle.TCB) {
 				c.SleepUntil(engine.At(time.Millisecond))
 				c.MutexLock(mu)
 				c.CondSignal(cv)
@@ -446,12 +453,12 @@ func TestBodyVsGoroutineIdenticalTrace(t *testing.T) {
 				c.ChargeOp(machine.OpSigSetjmp)
 				c.Compute(time.Millisecond)
 			}).Start()
-			k.MustNewThread(ThreadConfig{Name: "h", Priority: 70, CPU: 2}, func(c *TCB) {
+			oracle.MustNewThread(k, kernel.ThreadConfig{Name: "h", Priority: 70, CPU: 2}, func(c *oracle.TCB) {
 				c.CondWait(hcv)
 				c.Compute(time.Millisecond)
 			}).Start()
 		}
-		k.Run()
+		oracle.Run(k)
 		if err := k.Trace().Close(k.ThreadInfos()); err != nil {
 			t.Fatal(err)
 		}
@@ -460,6 +467,6 @@ func TestBodyVsGoroutineIdenticalTrace(t *testing.T) {
 	cont := run(true)
 	gor := run(false)
 	if !bytes.Equal(cont, gor) {
-		t.Fatalf("trace bytes differ between executors: continuation %d bytes, goroutine %d bytes", len(cont), len(gor))
+		t.Fatalf("trace bytes differ between the body forms: continuation %d bytes, oracle script %d bytes", len(cont), len(gor))
 	}
 }

@@ -1,4 +1,4 @@
-package kernel
+package kernel_test
 
 import (
 	"testing"
@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"rtseed/internal/engine"
+	"rtseed/internal/kernel"
+	"rtseed/internal/kernel/oracle"
 	"rtseed/internal/machine"
 )
 
@@ -22,7 +24,7 @@ func TestPropertyRandomPrograms(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng := engine.New()
-		k := New(eng, mach)
+		k := kernel.New(eng, mach)
 		rng := engine.NewRand(seed)
 		cv := k.NewCondVar("cv")
 		mu := k.NewMutex("mu")
@@ -39,7 +41,7 @@ func TestPropertyRandomPrograms(t *testing.T) {
 			for j := range durs {
 				durs[j] = time.Duration(rng.Intn(5)+1) * time.Millisecond
 			}
-			th := k.MustNewThread(ThreadConfig{Name: "f", Priority: prio, CPU: cpu}, func(c *TCB) {
+			th := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "f", Priority: prio, CPU: cpu}, func(c *oracle.TCB) {
 				for j, op := range ops {
 					switch op {
 					case 0:
@@ -75,7 +77,7 @@ func TestPropertyRandomPrograms(t *testing.T) {
 			})
 			th.Start()
 		}
-		k.Run()
+		oracle.Run(k)
 		return eng.Now(), eng.Steps()
 	}
 	f := func(seed uint64) bool {
@@ -93,11 +95,11 @@ func TestRandomProgramsAllExit(t *testing.T) {
 	model := machine.DefaultCostModel()
 	model.JitterFrac = 0
 	mach, _ := machine.New(machine.Topology{Cores: 4, ThreadsPerCore: 2}, machine.NoLoad, model, 1)
-	k := New(engine.New(), mach)
+	k := kernel.New(engine.New(), mach)
 	cv := k.NewCondVar("cv")
 	for i := 0; i < 4; i++ {
 		i := i
-		th := k.MustNewThread(ThreadConfig{Name: "x", Priority: 50 + i, CPU: machine.HWThread(i % 8)}, func(c *TCB) {
+		th := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "x", Priority: 50 + i, CPU: machine.HWThread(i % 8)}, func(c *oracle.TCB) {
 			if i == 0 {
 				c.CondWait(cv) // never signalled: unwound at shutdown
 				return
@@ -106,9 +108,9 @@ func TestRandomProgramsAllExit(t *testing.T) {
 		})
 		th.Start()
 	}
-	k.Run()
+	oracle.Run(k)
 	for _, th := range k.Threads() {
-		if th.State() != StateExited {
+		if th.State() != kernel.StateExited {
 			t.Fatalf("thread %v still %v after shutdown", th, th.State())
 		}
 	}

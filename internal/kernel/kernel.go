@@ -5,18 +5,14 @@
 // one-shot POSIX timers with SIGALRM delivery and per-thread signal masks,
 // and CPU affinity.
 //
-// Simulated thread bodies come in two forms behind one API. The
-// continuation executor (NewBodyThread) is the production path: a body is a
-// resumable state machine whose Step the kernel calls inline from its
-// dispatch path, so a context switch is a function call and a simulation
-// needs no goroutines regardless of thread count. The goroutine executor
-// (NewThread) models a body as an ordinary blocking Go function on its own
-// goroutine, hand-shaken with the kernel through unbuffered channels; it is
-// a test-only oracle with no production caller (both executors produce
-// byte-identical traces for the same program), also used by tests where a
-// blocking script reads better. Either way exactly one simulated thread executes host code at a
+// A simulated thread's body (NewBodyThread) is a resumable state machine
+// whose Step the kernel calls inline from its dispatch path, so a context
+// switch is a function call and a simulation needs no goroutines regardless
+// of thread count. Exactly one simulated thread executes host code at a
 // time, so simulations are fully deterministic. Virtual time passes only
-// inside kernel primitives, priced by the machine cost model.
+// inside kernel primitives, priced by the machine cost model. Tests that
+// want a thread's program as a blocking script use the kernel/oracle
+// package, which adapts one into a Body.
 package kernel
 
 import (
@@ -111,7 +107,7 @@ func (k *Kernel) ThreadInfos() []trace.ThreadInfo {
 }
 
 // Run processes simulation events until none remain, then shuts down any
-// still-parked simulated threads so no goroutines leak.
+// still-parked simulated threads.
 func (k *Kernel) Run() {
 	k.eng.Run()
 	k.Shutdown()
@@ -124,13 +120,10 @@ func (k *Kernel) RunUntil(deadline engine.Time) {
 	k.Shutdown()
 }
 
-// Shutdown force-terminates every simulated thread that has not exited.
-// Blocked or sleeping threads are unwound at their current kernel call:
-// continuation threads are simply marked exited (there is nothing to
-// unwind), goroutine threads have their parked goroutines released. The
-// kernel must be quiescent (no thread mid-handoff), which is always the case
-// between engine events. After Shutdown no goroutine created by either
-// executor remains.
+// Shutdown force-terminates every simulated thread that has not exited:
+// blocked or sleeping threads are marked exited at their current kernel
+// call. The kernel must be quiescent (no thread mid-step), which is always
+// the case between engine events.
 func (k *Kernel) Shutdown() {
 	for _, t := range k.threads {
 		t.kill()
@@ -290,25 +283,6 @@ func (k *Kernel) setCurrent(c *cpu, t *Thread) {
 	} else {
 		k.mach.SetOccupant(c.id, machine.OccupantIdle)
 	}
-}
-
-// resumeThread hands the CPU to t's host code and handles the next kernel
-// request it issues. Exactly one thread runs host code at a time. On the
-// continuation executor the "context switch" is a plain call into the
-// body's Step; on the goroutine executor it is a channel round-trip with
-// the thread's parked goroutine.
-//
-//rtseed:noalloc
-//rtseed:kernelctx
-func (k *Kernel) resumeThread(t *Thread, reply replyMsg) {
-	if t.stepBody != nil {
-		k.stepThread(t, reply)
-		return
-	}
-	t.reply = reply
-	t.run <- resumeMsg{}
-	<-t.yielded
-	k.handleRequest(t)
 }
 
 // startCompute begins or resumes a compute burst for the running thread t.

@@ -1,17 +1,19 @@
-package kernel
+package kernel_test
 
 import (
 	"testing"
 	"time"
 
 	"rtseed/internal/engine"
+	"rtseed/internal/kernel"
+	"rtseed/internal/kernel/oracle"
 	"rtseed/internal/machine"
 	"rtseed/internal/trace"
 )
 
 // testKernel builds a kernel on a small machine with zero-jitter costs so
 // timing assertions are exact.
-func testKernel(t *testing.T, load machine.Load) *Kernel {
+func testKernel(t *testing.T, load machine.Load) *kernel.Kernel {
 	t.Helper()
 	model := machine.DefaultCostModel()
 	model.JitterFrac = 0
@@ -20,22 +22,22 @@ func testKernel(t *testing.T, load machine.Load) *Kernel {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(engine.New(), m)
+	return kernel.New(engine.New(), m)
 }
 
 func TestThreadRunsBody(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	ran := false
-	th := k.MustNewThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *TCB) {
+	th := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *oracle.TCB) {
 		c.Compute(time.Millisecond)
 		ran = true
 	})
 	th.Start()
-	k.Run()
+	oracle.Run(k)
 	if !ran {
 		t.Fatal("thread body did not run")
 	}
-	if th.State() != StateExited {
+	if th.State() != kernel.StateExited {
 		t.Fatalf("state %v, want exited", th.State())
 	}
 }
@@ -43,12 +45,12 @@ func TestThreadRunsBody(t *testing.T) {
 func TestComputeAdvancesVirtualTime(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var end engine.Time
-	th := k.MustNewThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *TCB) {
+	th := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *oracle.TCB) {
 		c.Compute(10 * time.Millisecond)
 		end = c.Now()
 	})
 	th.Start()
-	k.Run()
+	oracle.Run(k)
 	// End time = dispatch cost + 10ms compute.
 	if end < engine.At(10*time.Millisecond) {
 		t.Fatalf("end %v, want >= 10ms", end)
@@ -61,18 +63,18 @@ func TestComputeAdvancesVirtualTime(t *testing.T) {
 func TestHigherPriorityPreempts(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var loEnd, hiEnd engine.Time
-	lo := k.MustNewThread(ThreadConfig{Name: "lo", Priority: 50, CPU: 0}, func(c *TCB) {
+	lo := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "lo", Priority: 50, CPU: 0}, func(c *oracle.TCB) {
 		c.Compute(10 * time.Millisecond)
 		loEnd = c.Now()
 	})
-	hi := k.MustNewThread(ThreadConfig{Name: "hi", Priority: 60, CPU: 0}, func(c *TCB) {
+	hi := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "hi", Priority: 60, CPU: 0}, func(c *oracle.TCB) {
 		c.SleepUntil(engine.At(2 * time.Millisecond))
 		c.Compute(5 * time.Millisecond)
 		hiEnd = c.Now()
 	})
 	lo.Start()
 	hi.Start()
-	k.Run()
+	oracle.Run(k)
 	if hiEnd >= loEnd {
 		t.Fatalf("high-priority thread should finish first: hi=%v lo=%v", hiEnd, loEnd)
 	}
@@ -86,17 +88,17 @@ func TestHigherPriorityPreempts(t *testing.T) {
 func TestEqualPriorityFIFONoPreemption(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var order []string
-	a := k.MustNewThread(ThreadConfig{Name: "a", Priority: 50, CPU: 0}, func(c *TCB) {
+	a := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "a", Priority: 50, CPU: 0}, func(c *oracle.TCB) {
 		c.Compute(5 * time.Millisecond)
 		order = append(order, "a")
 	})
-	b := k.MustNewThread(ThreadConfig{Name: "b", Priority: 50, CPU: 0}, func(c *TCB) {
+	b := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "b", Priority: 50, CPU: 0}, func(c *oracle.TCB) {
 		c.Compute(time.Millisecond)
 		order = append(order, "b")
 	})
 	a.Start()
 	b.Start()
-	k.Run()
+	oracle.Run(k)
 	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
 		t.Fatalf("SCHED_FIFO order %v, want [a b]", order)
 	}
@@ -105,17 +107,17 @@ func TestEqualPriorityFIFONoPreemption(t *testing.T) {
 func TestThreadsOnDifferentCPUsRunConcurrently(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var aEnd, bEnd engine.Time
-	a := k.MustNewThread(ThreadConfig{Name: "a", Priority: 50, CPU: 0}, func(c *TCB) {
+	a := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "a", Priority: 50, CPU: 0}, func(c *oracle.TCB) {
 		c.Compute(10 * time.Millisecond)
 		aEnd = c.Now()
 	})
-	b := k.MustNewThread(ThreadConfig{Name: "b", Priority: 50, CPU: 1}, func(c *TCB) {
+	b := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "b", Priority: 50, CPU: 1}, func(c *oracle.TCB) {
 		c.Compute(10 * time.Millisecond)
 		bEnd = c.Now()
 	})
 	a.Start()
 	b.Start()
-	k.Run()
+	oracle.Run(k)
 	if aEnd > engine.At(11*time.Millisecond) || bEnd > engine.At(11*time.Millisecond) {
 		t.Fatalf("parallel threads serialized: a=%v b=%v", aEnd, bEnd)
 	}
@@ -124,12 +126,12 @@ func TestThreadsOnDifferentCPUsRunConcurrently(t *testing.T) {
 func TestSleepUntilWakesAtAbsoluteTime(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var woke engine.Time
-	th := k.MustNewThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *TCB) {
+	th := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *oracle.TCB) {
 		c.SleepUntil(engine.At(100 * time.Millisecond))
 		woke = c.Now()
 	})
 	th.Start()
-	k.Run()
+	oracle.Run(k)
 	if woke < engine.At(100*time.Millisecond) {
 		t.Fatalf("woke at %v, before the absolute deadline", woke)
 	}
@@ -141,14 +143,14 @@ func TestSleepUntilWakesAtAbsoluteTime(t *testing.T) {
 func TestSleepUntilPastReturnsImmediately(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var first, second engine.Time
-	th := k.MustNewThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *TCB) {
+	th := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *oracle.TCB) {
 		c.Compute(5 * time.Millisecond)
 		first = c.Now()
 		c.SleepUntil(engine.At(time.Millisecond)) // already past
 		second = c.Now()
 	})
 	th.Start()
-	k.Run()
+	oracle.Run(k)
 	if second != first {
 		t.Fatalf("past sleep should be immediate: %v -> %v", first, second)
 	}
@@ -158,17 +160,17 @@ func TestCondSignalWakesWaiter(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	cv := k.NewCondVar("cv")
 	var consumerRan engine.Time
-	consumer := k.MustNewThread(ThreadConfig{Name: "consumer", Priority: 60, CPU: 1}, func(c *TCB) {
+	consumer := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "consumer", Priority: 60, CPU: 1}, func(c *oracle.TCB) {
 		c.CondWait(cv)
 		consumerRan = c.Now()
 	})
-	producer := k.MustNewThread(ThreadConfig{Name: "producer", Priority: 50, CPU: 0}, func(c *TCB) {
+	producer := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "producer", Priority: 50, CPU: 0}, func(c *oracle.TCB) {
 		c.Compute(10 * time.Millisecond)
 		c.CondSignal(cv)
 	})
 	consumer.Start()
 	producer.Start()
-	k.Run()
+	oracle.Run(k)
 	if consumerRan == 0 {
 		t.Fatal("consumer never woke")
 	}
@@ -181,24 +183,24 @@ func TestCondSignalWithoutWaiterIsLost(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	cv := k.NewCondVar("cv")
 	woke := false
-	producer := k.MustNewThread(ThreadConfig{Name: "p", Priority: 50, CPU: 0}, func(c *TCB) {
+	producer := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "p", Priority: 50, CPU: 0}, func(c *oracle.TCB) {
 		c.CondSignal(cv) // nobody waiting; pthread semantics lose it
 	})
-	consumer := k.MustNewThread(ThreadConfig{Name: "c", Priority: 50, CPU: 1}, func(c *TCB) {
+	consumer := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "c", Priority: 50, CPU: 1}, func(c *oracle.TCB) {
 		c.SleepUntil(engine.At(time.Millisecond))
 		c.CondWait(cv)
 		woke = true
 	})
 	producer.Start()
 	consumer.Start()
-	k.Run()
+	oracle.Run(k)
 	if woke {
 		t.Fatal("signal before wait must be lost")
 	}
-	if consumer.State() != StateExited {
+	if consumer.State() != kernel.StateExited {
 		// The consumer is still blocked at shutdown, which is the expected
 		// outcome; Shutdown force-unwound it.
-		if consumer.State() != StateBlocked {
+		if consumer.State() != kernel.StateBlocked {
 			t.Fatalf("consumer state %v", consumer.State())
 		}
 	}
@@ -210,18 +212,18 @@ func TestCondBroadcastWakesAll(t *testing.T) {
 	woken := 0
 	for i := 0; i < 3; i++ {
 		cpu := machine.HWThread(i + 1)
-		th := k.MustNewThread(ThreadConfig{Name: "w", Priority: 60, CPU: cpu}, func(c *TCB) {
+		th := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "w", Priority: 60, CPU: cpu}, func(c *oracle.TCB) {
 			c.CondWait(cv)
 			woken++
 		})
 		th.Start()
 	}
-	p := k.MustNewThread(ThreadConfig{Name: "p", Priority: 50, CPU: 0}, func(c *TCB) {
+	p := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "p", Priority: 50, CPU: 0}, func(c *oracle.TCB) {
 		c.Compute(time.Millisecond)
 		c.CondBroadcast(cv)
 	})
 	p.Start()
-	k.Run()
+	oracle.Run(k)
 	if woken != 3 {
 		t.Fatalf("broadcast woke %d, want 3", woken)
 	}
@@ -231,12 +233,12 @@ func TestTimerTerminatesInterruptibleCompute(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var completed bool
 	var ran time.Duration
-	th := k.MustNewThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *TCB) {
+	th := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *oracle.TCB) {
 		c.TimerSet(engine.At(5 * time.Millisecond))
 		completed, ran = c.ComputeInterruptible(time.Second)
 	})
 	th.Start()
-	k.Run()
+	oracle.Run(k)
 	if completed {
 		t.Fatal("burst should have been terminated")
 	}
@@ -248,17 +250,18 @@ func TestTimerTerminatesInterruptibleCompute(t *testing.T) {
 func TestTimerDoesNotTerminateUninterruptibleCompute(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var end engine.Time
-	th := k.MustNewThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *TCB) {
+	var pending bool
+	th := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *oracle.TCB) {
 		c.TimerSet(engine.At(time.Millisecond))
 		c.Compute(10 * time.Millisecond)
-		end = c.Now()
+		end, pending = c.Now(), c.AlarmPending()
 	})
 	th.Start()
-	k.Run()
+	oracle.Run(k)
 	if end < engine.At(10*time.Millisecond) {
 		t.Fatalf("uninterruptible burst cut short at %v", end)
 	}
-	if !th.pendingAlarm {
+	if !pending {
 		t.Fatal("alarm should be pending after an uninterruptible burst")
 	}
 }
@@ -266,15 +269,15 @@ func TestTimerDoesNotTerminateUninterruptibleCompute(t *testing.T) {
 func TestTimerStopCancelsAndClearsPending(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var completed bool
-	th := k.MustNewThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *TCB) {
+	th := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *oracle.TCB) {
 		c.TimerSet(engine.At(time.Hour))
 		c.TimerStop()
 		completed, _ = c.ComputeInterruptible(5 * time.Millisecond)
 	})
 	th.Start()
-	k.Run()
+	oracle.Run(k)
 	if !completed {
-		t.Fatal("burst should complete after TimerStop")
+		t.Fatal("burst should complete after kernel.TimerStop")
 	}
 }
 
@@ -284,7 +287,7 @@ func TestTimerStopCancelsAndClearsPending(t *testing.T) {
 func TestAlarmMaskedAfterTermination(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var second bool
-	th := k.MustNewThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *TCB) {
+	th := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *oracle.TCB) {
 		c.TimerSet(engine.At(2 * time.Millisecond))
 		first, _ := c.ComputeInterruptible(time.Second)
 		if first {
@@ -299,7 +302,7 @@ func TestAlarmMaskedAfterTermination(t *testing.T) {
 		second, _ = c.ComputeInterruptible(10 * time.Millisecond)
 	})
 	th.Start()
-	k.Run()
+	oracle.Run(k)
 	if !second {
 		t.Fatal("second burst should complete: SIGALRM was still masked")
 	}
@@ -309,7 +312,7 @@ func TestAlarmMaskedAfterTermination(t *testing.T) {
 func TestAlarmUnmaskedTerminatesAgain(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var second bool
-	th := k.MustNewThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *TCB) {
+	th := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *oracle.TCB) {
 		c.TimerSet(engine.At(2 * time.Millisecond))
 		c.ComputeInterruptible(time.Second)
 		c.SetAlarmMask(false) // siglongjmp restores the mask
@@ -317,7 +320,7 @@ func TestAlarmUnmaskedTerminatesAgain(t *testing.T) {
 		second, _ = c.ComputeInterruptible(10 * time.Second)
 	})
 	th.Start()
-	k.Run()
+	oracle.Run(k)
 	if second {
 		t.Fatal("second burst should have been terminated after unmasking")
 	}
@@ -329,7 +332,7 @@ func TestPendingAlarmDeliveredOnNextBurst(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var completed bool
 	var ran time.Duration
-	th := k.MustNewThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *TCB) {
+	th := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *oracle.TCB) {
 		c.SetAlarmMask(true)
 		c.TimerSet(engine.At(time.Millisecond))
 		c.Compute(5 * time.Millisecond) // alarm fires during this, stays pending
@@ -337,7 +340,7 @@ func TestPendingAlarmDeliveredOnNextBurst(t *testing.T) {
 		completed, ran = c.ComputeInterruptible(time.Second)
 	})
 	th.Start()
-	k.Run()
+	oracle.Run(k)
 	if completed {
 		t.Fatal("pending alarm should terminate the burst immediately")
 	}
@@ -350,17 +353,17 @@ func TestPendingAlarmDeliveredOnNextBurst(t *testing.T) {
 func TestPreemptedInterruptibleBurstAccounting(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var ran time.Duration
-	lo := k.MustNewThread(ThreadConfig{Name: "lo", Priority: 50, CPU: 0}, func(c *TCB) {
+	lo := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "lo", Priority: 50, CPU: 0}, func(c *oracle.TCB) {
 		c.TimerSet(engine.At(20 * time.Millisecond))
 		_, ran = c.ComputeInterruptible(time.Second)
 	})
-	hi := k.MustNewThread(ThreadConfig{Name: "hi", Priority: 60, CPU: 0}, func(c *TCB) {
+	hi := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "hi", Priority: 60, CPU: 0}, func(c *oracle.TCB) {
 		c.SleepUntil(engine.At(5 * time.Millisecond))
 		c.Compute(5 * time.Millisecond)
 	})
 	lo.Start()
 	hi.Start()
-	k.Run()
+	oracle.Run(k)
 	// lo computed ~5ms before preemption, resumed ~10ms, terminated at
 	// ~20ms: it consumed roughly 15ms of CPU, never 20.
 	if ran < 12*time.Millisecond || ran > 18*time.Millisecond {
@@ -374,11 +377,11 @@ func TestTracerSeesLifecycle(t *testing.T) {
 	k.SetTrace(tr)
 	var kinds []trace.Kind
 	tr.Tap(func(rec trace.Record) { kinds = append(kinds, rec.Kind) })
-	th := k.MustNewThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *TCB) {
+	th := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *oracle.TCB) {
 		c.Compute(time.Millisecond)
 	})
 	th.Start()
-	k.Run()
+	oracle.Run(k)
 	want := []trace.Kind{trace.KindReady, trace.KindDispatch, trace.KindExit}
 	if len(kinds) != len(want) {
 		t.Fatalf("trace %v, want %v", kinds, want)
@@ -395,13 +398,13 @@ func TestTracerSeesLifecycle(t *testing.T) {
 
 func TestNewThreadValidation(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
-	if _, err := k.NewThread(ThreadConfig{Priority: 0, CPU: 0}, func(*TCB) {}); err == nil {
+	if _, err := oracle.NewThread(k, kernel.ThreadConfig{Priority: 0, CPU: 0}, func(*oracle.TCB) {}); err == nil {
 		t.Fatal("priority 0 accepted")
 	}
-	if _, err := k.NewThread(ThreadConfig{Priority: 100, CPU: 0}, func(*TCB) {}); err == nil {
+	if _, err := oracle.NewThread(k, kernel.ThreadConfig{Priority: 100, CPU: 0}, func(*oracle.TCB) {}); err == nil {
 		t.Fatal("priority 100 accepted")
 	}
-	if _, err := k.NewThread(ThreadConfig{Priority: 50, CPU: 99}, func(*TCB) {}); err == nil {
+	if _, err := oracle.NewThread(k, kernel.ThreadConfig{Priority: 50, CPU: 99}, func(*oracle.TCB) {}); err == nil {
 		t.Fatal("out-of-range cpu accepted")
 	}
 }
@@ -410,17 +413,17 @@ func TestShutdownUnwindsBlockedThreads(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	cv := k.NewCondVar("never")
 	cleanedUp := false
-	th := k.MustNewThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *TCB) {
+	th := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *oracle.TCB) {
 		defer func() { cleanedUp = true }()
 		c.CondWait(cv) // never signalled
 	})
 	th.Start()
-	k.Run() // Run calls Shutdown when the event queue drains
-	if th.State() != StateExited {
+	oracle.Run(k) // Run calls Shutdown when the event queue drains
+	if th.State() != kernel.StateExited {
 		t.Fatalf("state %v, want exited after shutdown", th.State())
 	}
 	if cleanedUp {
-		// The kill unwinds via panic, so deferred cleanup DOES run; assert
+		// The oracle unwinds via panic, so deferred cleanup DOES run; assert
 		// that it did.
 		return
 	}
@@ -434,19 +437,19 @@ func TestDeterministicSchedule(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			cpu := machine.HWThread(i % 8)
 			prio := 40 + i
-			th := k.MustNewThread(ThreadConfig{Name: "w", Priority: prio, CPU: cpu}, func(c *TCB) {
+			th := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "w", Priority: prio, CPU: cpu}, func(c *oracle.TCB) {
 				c.Compute(time.Duration(prio) * time.Millisecond)
 				c.CondSignal(cv)
 			})
 			th.Start()
 		}
-		m := k.MustNewThread(ThreadConfig{Name: "m", Priority: 60, CPU: 0}, func(c *TCB) {
+		m := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "m", Priority: 60, CPU: 0}, func(c *oracle.TCB) {
 			for i := 0; i < 4; i++ {
 				c.CondWait(cv)
 			}
 		})
 		m.Start()
-		k.Run()
+		oracle.Run(k)
 		return k.Now()
 	}
 	if a, b := run(), run(); a != b {
@@ -457,14 +460,14 @@ func TestDeterministicSchedule(t *testing.T) {
 func TestChargeOpConsumesTime(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var before, after engine.Time
-	th := k.MustNewThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *TCB) {
+	th := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *oracle.TCB) {
 		before = c.Now()
 		c.ChargeOp(machine.OpSigLongjmp)
 		after = c.Now()
 	})
 	th.Start()
-	k.Run()
+	oracle.Run(k)
 	if after <= before {
-		t.Fatal("ChargeOp should consume virtual time")
+		t.Fatal("kernel.ChargeOp should consume virtual time")
 	}
 }

@@ -34,18 +34,6 @@ func (m *Mutex) Locked() bool { return m.owner != nil }
 // Waiters returns the number of blocked contenders.
 func (m *Mutex) Waiters() int { return m.waiters.Len() }
 
-// MutexLock acquires m, blocking in FIFO order while it is held.
-func (c *TCB) MutexLock(m *Mutex) {
-	c.t.syscall(request{kind: reqMutexLock, mutex: m})
-}
-
-// MutexUnlock releases m and hands it to the longest-waiting contender, if
-// any. It panics if the caller does not hold m: unlocking someone else's
-// mutex is always a program bug.
-func (c *TCB) MutexUnlock(m *Mutex) {
-	c.t.syscall(request{kind: reqMutexUnlock, mutex: m})
-}
-
 //rtseed:kernelctx
 func (k *Kernel) handleMutexLock(t *Thread, req request) {
 	m := req.mutex

@@ -1,10 +1,12 @@
-package kernel
+package kernel_test
 
 import (
 	"testing"
 	"time"
 
 	"rtseed/internal/engine"
+	"rtseed/internal/kernel"
+	"rtseed/internal/kernel/oracle"
 	"rtseed/internal/machine"
 )
 
@@ -14,7 +16,7 @@ func TestMutexExcludesAndServesFIFO(t *testing.T) {
 	var order []string
 	var inside int
 	worker := func(name string, cpu machine.HWThread, start time.Duration) {
-		th := k.MustNewThread(ThreadConfig{Name: name, Priority: 50, CPU: cpu}, func(c *TCB) {
+		th := oracle.MustNewThread(k, kernel.ThreadConfig{Name: name, Priority: 50, CPU: cpu}, func(c *oracle.TCB) {
 			c.SleepUntil(engine.At(start))
 			c.MutexLock(m)
 			inside++
@@ -32,7 +34,7 @@ func TestMutexExcludesAndServesFIFO(t *testing.T) {
 	worker("a", 0, 0)
 	worker("b", 1, time.Millisecond)
 	worker("c", 2, 2*time.Millisecond)
-	k.Run()
+	oracle.Run(k)
 	want := []string{"a", "b", "c"}
 	if len(order) != 3 {
 		t.Fatalf("order %v", order)
@@ -56,7 +58,7 @@ func TestMutexSerializesWork(t *testing.T) {
 	var last engine.Time
 	for i := 0; i < np; i++ {
 		cpu := machine.HWThread(i % 8)
-		th := k.MustNewThread(ThreadConfig{Name: "w", Priority: 50, CPU: cpu}, func(c *TCB) {
+		th := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "w", Priority: 50, CPU: cpu}, func(c *oracle.TCB) {
 			c.MutexLock(m)
 			c.Compute(section)
 			c.MutexUnlock(m)
@@ -66,7 +68,7 @@ func TestMutexSerializesWork(t *testing.T) {
 		})
 		th.Start()
 	}
-	k.Run()
+	oracle.Run(k)
 	if last < engine.At(np*section) {
 		t.Fatalf("finished at %v: critical sections overlapped", last)
 	}
@@ -78,11 +80,11 @@ func TestMutexSerializesWork(t *testing.T) {
 func TestMutexUnlockByNonOwnerPanics(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	m := k.NewMutex("m")
-	owner := k.MustNewThread(ThreadConfig{Name: "owner", Priority: 50, CPU: 0}, func(c *TCB) {
+	owner := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "owner", Priority: 50, CPU: 0}, func(c *oracle.TCB) {
 		c.MutexLock(m)
 		c.Sleep(time.Hour)
 	})
-	thief := k.MustNewThread(ThreadConfig{Name: "thief", Priority: 50, CPU: 1}, func(c *TCB) {
+	thief := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "thief", Priority: 50, CPU: 1}, func(c *oracle.TCB) {
 		c.Sleep(time.Millisecond)
 		c.MutexUnlock(m)
 	})
@@ -93,13 +95,13 @@ func TestMutexUnlockByNonOwnerPanics(t *testing.T) {
 			t.Fatal("unlock by non-owner should panic")
 		}
 	}()
-	k.Run()
+	oracle.Run(k)
 }
 
 func TestMutexRecursiveLockPanics(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	m := k.NewMutex("m")
-	th := k.MustNewThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *TCB) {
+	th := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *oracle.TCB) {
 		c.MutexLock(m)
 		c.MutexLock(m)
 	})
@@ -109,7 +111,7 @@ func TestMutexRecursiveLockPanics(t *testing.T) {
 			t.Fatal("recursive lock should panic")
 		}
 	}()
-	k.Run()
+	oracle.Run(k)
 }
 
 func TestMutexName(t *testing.T) {
@@ -121,16 +123,16 @@ func TestMutexName(t *testing.T) {
 
 func TestCPUTimeAccounting(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
-	lo := k.MustNewThread(ThreadConfig{Name: "lo", Priority: 50, CPU: 0}, func(c *TCB) {
+	lo := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "lo", Priority: 50, CPU: 0}, func(c *oracle.TCB) {
 		c.Compute(20 * time.Millisecond)
 	})
-	hi := k.MustNewThread(ThreadConfig{Name: "hi", Priority: 60, CPU: 0}, func(c *TCB) {
+	hi := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "hi", Priority: 60, CPU: 0}, func(c *oracle.TCB) {
 		c.SleepUntil(engine.At(5 * time.Millisecond))
 		c.Compute(10 * time.Millisecond)
 	})
 	lo.Start()
 	hi.Start()
-	k.Run()
+	oracle.Run(k)
 	// Each thread's CPU time equals its requested compute, despite the
 	// preemption in the middle of lo's burst.
 	if got := lo.CPUTime(); got != 20*time.Millisecond {
@@ -155,12 +157,12 @@ func TestCPUTimeAccounting(t *testing.T) {
 
 func TestInterruptedBurstCPUTime(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
-	th := k.MustNewThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *TCB) {
+	th := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *oracle.TCB) {
 		c.TimerSet(engine.At(5 * time.Millisecond))
 		c.ComputeInterruptible(time.Second)
 	})
 	th.Start()
-	k.Run()
+	oracle.Run(k)
 	got := th.CPUTime()
 	if got < 4*time.Millisecond || got > 6*time.Millisecond {
 		t.Fatalf("terminated burst CPU time %v, want ~5ms", got)
@@ -170,14 +172,14 @@ func TestInterruptedBurstCPUTime(t *testing.T) {
 func TestMigrateMovesThread(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var cpuBefore, cpuAfter machine.HWThread
-	th := k.MustNewThread(ThreadConfig{Name: "m", Priority: 50, CPU: 0}, func(c *TCB) {
+	th := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "m", Priority: 50, CPU: 0}, func(c *oracle.TCB) {
 		cpuBefore = c.HWThread()
 		c.Migrate(3)
 		cpuAfter = c.HWThread()
 		c.Compute(time.Millisecond)
 	})
 	th.Start()
-	k.Run()
+	oracle.Run(k)
 	if cpuBefore != 0 || cpuAfter != 3 {
 		t.Fatalf("migration %d -> %d, want 0 -> 3", cpuBefore, cpuAfter)
 	}
@@ -192,13 +194,13 @@ func TestMigrateMovesThread(t *testing.T) {
 func TestMigrateToSameCPUIsFree(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var before, after engine.Time
-	th := k.MustNewThread(ThreadConfig{Name: "m", Priority: 50, CPU: 2}, func(c *TCB) {
+	th := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "m", Priority: 50, CPU: 2}, func(c *oracle.TCB) {
 		before = c.Now()
 		c.Migrate(2)
 		after = c.Now()
 	})
 	th.Start()
-	k.Run()
+	oracle.Run(k)
 	if before != after {
 		t.Fatal("same-CPU migration should be a no-op")
 	}
@@ -210,13 +212,13 @@ func TestMigrateToSameCPUIsFree(t *testing.T) {
 func TestMigrateCostsMoreThanLocalSwitch(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var migrateCost time.Duration
-	th := k.MustNewThread(ThreadConfig{Name: "m", Priority: 50, CPU: 0}, func(c *TCB) {
+	th := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "m", Priority: 50, CPU: 0}, func(c *oracle.TCB) {
 		start := c.Now()
 		c.Migrate(1)
 		migrateCost = c.Now().Sub(start)
 	})
 	th.Start()
-	k.Run()
+	oracle.Run(k)
 	// Migration = departure service (remote switch) + arrival dispatch;
 	// it must exceed a plain local context switch cost.
 	local := k.Machine().Cost(machine.OpContextSwitch, 0)
@@ -228,17 +230,17 @@ func TestMigrateCostsMoreThanLocalSwitch(t *testing.T) {
 func TestMigrationFreesOldCPU(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var waiterRan bool
-	mover := k.MustNewThread(ThreadConfig{Name: "mover", Priority: 60, CPU: 0}, func(c *TCB) {
+	mover := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "mover", Priority: 60, CPU: 0}, func(c *oracle.TCB) {
 		c.Migrate(1)
 		c.Compute(50 * time.Millisecond)
 	})
-	waiter := k.MustNewThread(ThreadConfig{Name: "waiter", Priority: 50, CPU: 0}, func(c *TCB) {
+	waiter := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "waiter", Priority: 50, CPU: 0}, func(c *oracle.TCB) {
 		c.Compute(time.Millisecond)
 		waiterRan = true
 	})
 	mover.Start()
 	waiter.Start()
-	k.Run()
+	oracle.Run(k)
 	if !waiterRan {
 		t.Fatal("old CPU should run the lower-priority thread after the migration")
 	}
@@ -248,35 +250,35 @@ func TestMigrationFreesOldCPU(t *testing.T) {
 func TestYieldRotatesEqualPriority(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var order []string
-	a := k.MustNewThread(ThreadConfig{Name: "a", Priority: 50, CPU: 0}, func(c *TCB) {
+	a := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "a", Priority: 50, CPU: 0}, func(c *oracle.TCB) {
 		c.Compute(time.Millisecond)
 		c.Yield() // b gets the CPU before a's second burst
 		c.Compute(time.Millisecond)
 		order = append(order, "a")
 	})
-	b := k.MustNewThread(ThreadConfig{Name: "b", Priority: 50, CPU: 0}, func(c *TCB) {
+	b := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "b", Priority: 50, CPU: 0}, func(c *oracle.TCB) {
 		c.Compute(time.Millisecond)
 		order = append(order, "b")
 	})
 	a.Start()
 	b.Start()
-	k.Run()
+	oracle.Run(k)
 	if len(order) != 2 || order[0] != "b" || order[1] != "a" {
 		t.Fatalf("order %v, want [b a]", order)
 	}
 }
 
-// Yield with an empty queue just continues.
+// kernel.Yield with an empty queue just continues.
 func TestYieldAloneContinues(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	done := false
-	th := k.MustNewThread(ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *TCB) {
+	th := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *oracle.TCB) {
 		c.Yield()
 		c.Compute(time.Millisecond)
 		done = true
 	})
 	th.Start()
-	k.Run()
+	oracle.Run(k)
 	if !done {
 		t.Fatal("yield alone should continue")
 	}

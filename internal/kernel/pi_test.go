@@ -1,10 +1,12 @@
-package kernel
+package kernel_test
 
 import (
 	"testing"
 	"time"
 
 	"rtseed/internal/engine"
+	"rtseed/internal/kernel"
+	"rtseed/internal/kernel/oracle"
 	"rtseed/internal/machine"
 )
 
@@ -18,22 +20,22 @@ import (
 func inversionScenario(t *testing.T, pi bool) (hiDone engine.Time) {
 	t.Helper()
 	k := testKernel(t, machine.NoLoad)
-	var m *Mutex
+	var m *kernel.Mutex
 	if pi {
 		m = k.NewPIMutex("m")
 	} else {
 		m = k.NewMutex("m")
 	}
-	lo := k.MustNewThread(ThreadConfig{Name: "lo", Priority: 40, CPU: 0}, func(c *TCB) {
+	lo := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "lo", Priority: 40, CPU: 0}, func(c *oracle.TCB) {
 		c.MutexLock(m)
 		c.Compute(5 * time.Millisecond) // critical section
 		c.MutexUnlock(m)
 	})
-	mid := k.MustNewThread(ThreadConfig{Name: "mid", Priority: 50, CPU: 0}, func(c *TCB) {
+	mid := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "mid", Priority: 50, CPU: 0}, func(c *oracle.TCB) {
 		c.SleepUntil(engine.At(2 * time.Millisecond))
 		c.Compute(100 * time.Millisecond) // the hog
 	})
-	hi := k.MustNewThread(ThreadConfig{Name: "hi", Priority: 60, CPU: 0}, func(c *TCB) {
+	hi := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "hi", Priority: 60, CPU: 0}, func(c *oracle.TCB) {
 		c.SleepUntil(engine.At(1 * time.Millisecond))
 		c.MutexLock(m)
 		c.MutexUnlock(m)
@@ -42,7 +44,7 @@ func inversionScenario(t *testing.T, pi bool) (hiDone engine.Time) {
 	lo.Start()
 	mid.Start()
 	hi.Start()
-	k.Run()
+	oracle.Run(k)
 	return hiDone
 }
 
@@ -67,21 +69,21 @@ func TestPIBoostIsTemporary(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	m := k.NewPIMutex("m")
 	var prioDuring, prioAfter int
-	lo := k.MustNewThread(ThreadConfig{Name: "lo", Priority: 40, CPU: 0}, func(c *TCB) {
+	lo := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "lo", Priority: 40, CPU: 0}, func(c *oracle.TCB) {
 		c.MutexLock(m)
 		c.Compute(5 * time.Millisecond)
 		prioDuring = c.Thread().Priority()
 		c.MutexUnlock(m)
 		prioAfter = c.Thread().Priority()
 	})
-	hi := k.MustNewThread(ThreadConfig{Name: "hi", Priority: 70, CPU: 1}, func(c *TCB) {
+	hi := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "hi", Priority: 70, CPU: 1}, func(c *oracle.TCB) {
 		c.SleepUntil(engine.At(time.Millisecond))
 		c.MutexLock(m)
 		c.MutexUnlock(m)
 	})
 	lo.Start()
 	hi.Start()
-	k.Run()
+	oracle.Run(k)
 	if prioDuring != 70 {
 		t.Fatalf("owner priority during contention %d, want boosted 70", prioDuring)
 	}
@@ -95,20 +97,20 @@ func TestPlainMutexNoBoost(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	m := k.NewMutex("m")
 	var prioDuring int
-	lo := k.MustNewThread(ThreadConfig{Name: "lo", Priority: 40, CPU: 0}, func(c *TCB) {
+	lo := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "lo", Priority: 40, CPU: 0}, func(c *oracle.TCB) {
 		c.MutexLock(m)
 		c.Compute(5 * time.Millisecond)
 		prioDuring = c.Thread().Priority()
 		c.MutexUnlock(m)
 	})
-	hi := k.MustNewThread(ThreadConfig{Name: "hi", Priority: 70, CPU: 1}, func(c *TCB) {
+	hi := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "hi", Priority: 70, CPU: 1}, func(c *oracle.TCB) {
 		c.SleepUntil(engine.At(time.Millisecond))
 		c.MutexLock(m)
 		c.MutexUnlock(m)
 	})
 	lo.Start()
 	hi.Start()
-	k.Run()
+	oracle.Run(k)
 	if prioDuring != 40 {
 		t.Fatalf("plain mutex boosted the owner to %d", prioDuring)
 	}

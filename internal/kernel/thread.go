@@ -72,24 +72,15 @@ type Thread struct {
 	k     *Kernel
 	state State
 
-	body func(*TCB)
-
-	// Goroutine handshake (goroutine executor only). The kernel sends on
-	// run to let the thread's host code execute; the thread sends on
-	// yielded after recording its next request. done is closed when the
-	// goroutine ends. Continuation threads leave all three nil.
-	run     chan resumeMsg
-	yielded chan struct{}
-	done    chan struct{}
+	// started guards against a second Start; unbound marks the machine
+	// binding released (see unbind).
 	started bool
-	killed  bool
 	unbound bool
 
-	// Continuation executor (body.go). stepBody non-nil selects it: the
-	// kernel drives the body's state machine inline from its dispatch path
-	// and the channels above are never created. tcb is the pre-allocated
-	// TCB handed to every Step, stepReply/stepFirst the pending Resume, and
-	// stepping/stepPending the trampoline state of stepThread.
+	// The thread's body (body.go): the kernel drives its state machine
+	// inline from the dispatch path. tcb is the pre-allocated TCB handed to
+	// every Step, stepReply/stepFirst the pending Resume, and
+	// stepping/stepPending the trampoline state of resumeThread.
 	stepBody    Body
 	tcb         TCB
 	stepReply   replyMsg
@@ -97,8 +88,7 @@ type Thread struct {
 	stepping    bool
 	stepPending bool
 
-	req   request
-	reply replyMsg
+	req request
 	// pendingReply is delivered when the thread is next dispatched after
 	// being woken from a blocking call.
 	pendingReply replyMsg
@@ -110,7 +100,7 @@ type Thread struct {
 	qnext, qprev *Thread
 	queued       bool
 	// cvNode links the thread into a mutex or condition variable waiter
-	// list; it is pre-allocated in NewThread and reused.
+	// list; it is pre-allocated in newThread and reused.
 	cvNode *list.Node[*Thread]
 
 	// dispatchOp prices the next dispatch of this thread: OpDispatch for a
@@ -191,28 +181,8 @@ func (t *Thread) String() string {
 
 func (t *Thread) preemptible() bool { return t.state == StateComputing }
 
-// NewThread creates a simulated thread on the goroutine executor: the body
-// is a blocking function hand-shaken with the kernel over channels. The
-// body runs when the thread is started and first dispatched. NewThread
-// returns an error for out-of-range priorities or CPUs. New code should
-// use the continuation executor (NewBodyThread); the goroutine form is a
-// test-only oracle with no production caller, also used by tests where a
-// blocking script reads better.
-func (k *Kernel) NewThread(cfg ThreadConfig, body func(*TCB)) (*Thread, error) {
-	t, err := k.newThread(cfg)
-	if err != nil {
-		return nil, err
-	}
-	t.body = body
-	t.run = make(chan resumeMsg)
-	t.yielded = make(chan struct{})
-	t.done = make(chan struct{})
-	return t, nil
-}
-
-// newThread builds and registers a thread with no body; the caller attaches
-// either the goroutine or the continuation form.
-func (k *Kernel) newThread(cfg ThreadConfig) (*Thread, error) {
+// newThread builds and registers a thread running body.
+func (k *Kernel) newThread(cfg ThreadConfig, body Body) (*Thread, error) {
 	if cfg.Priority < MinPriority || cfg.Priority > MaxPriority {
 		return nil, fmt.Errorf("kernel: priority %d out of range [%d,%d]", cfg.Priority, MinPriority, MaxPriority)
 	}
@@ -228,6 +198,8 @@ func (k *Kernel) newThread(cfg ThreadConfig) (*Thread, error) {
 		k:          k,
 		state:      StateNew,
 		dispatchOp: machine.OpContextSwitch,
+		stepBody:   body,
+		stepFirst:  true,
 	}
 	t.tcb = TCB{t: t}
 	// The thread owns its waiter-list node for its whole lifetime:
@@ -310,17 +282,7 @@ func (k *Kernel) newThread(cfg ThreadConfig) (*Thread, error) {
 	return t, nil
 }
 
-// MustNewThread is NewThread for statically-valid configuration.
-func (k *Kernel) MustNewThread(cfg ThreadConfig, body func(*TCB)) *Thread {
-	t, err := k.NewThread(cfg, body)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
-// Start makes the thread ready at the current virtual time. A goroutine
-// body gets its host goroutine here; a continuation body needs none — its
+// Start makes the thread ready at the current virtual time; the body's
 // first Step runs inline at the first dispatch.
 //
 //rtseed:kernelctx-entry quiescent setup: runs while the engine is stopped, serialized with the event loop
@@ -329,51 +291,12 @@ func (t *Thread) Start() {
 		panic("kernel: thread started twice")
 	}
 	t.started = true
-	if t.stepBody == nil {
-		go t.main()
-	}
 	t.k.makeReady(t, false)
 }
 
-// killSentinel unwinds a simulated thread's goroutine during Shutdown.
-type killSentinel struct{}
-
-func (t *Thread) main() {
-	defer close(t.done)
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(killSentinel); ok {
-				t.state = StateExited
-				return
-			}
-			panic(r)
-		}
-	}()
-	// Wait for first dispatch.
-	msg := <-t.run
-	if msg.kill {
-		panic(killSentinel{})
-	}
-	t.body(&TCB{t: t})
-	// Normal exit: report it to the kernel, which is waiting in
-	// resumeThread.
-	t.req = request{kind: reqExit}
-	t.yielded <- struct{}{}
-}
-
-// kill force-terminates a thread parked in a kernel call. A continuation
-// thread has no goroutine to unwind: marking it exited is the whole job.
-// A goroutine thread's host goroutine is parked in syscall and must be
-// resumed with the kill flag so it panics out through killSentinel.
+// kill force-terminates a thread parked in a kernel call. The body holds no
+// host resources, so marking the thread exited is the whole job.
 func (t *Thread) kill() {
-	if t.stepBody != nil || !t.started || t.state == StateExited {
-		t.state = StateExited
-		t.k.unbind(t)
-		return
-	}
-	t.killed = true
-	t.run <- resumeMsg{kill: true}
-	<-t.done
 	t.state = StateExited
 	t.k.unbind(t)
 }
@@ -385,10 +308,6 @@ func (k *Kernel) unbind(t *Thread) {
 	}
 	t.unbound = true
 	k.mach.UnbindRT(t.cpuID)
-}
-
-type resumeMsg struct {
-	kill bool
 }
 
 type replyMsg struct {
@@ -417,7 +336,7 @@ const (
 	reqExit
 )
 
-// String implements fmt.Stringer, naming the syscall a request models.
+// String implements fmt.Stringer, naming the system call a request models.
 func (k requestKind) String() string {
 	switch k {
 	case reqCompute:
@@ -462,29 +381,16 @@ type request struct {
 	cv            *CondVar
 	interruptible bool
 	mask          bool
-	// rel marks a continuation Sleep whose absolute wake time is resolved
-	// when the action executes (applyNext); the blocking TCB.Sleep resolves
-	// it at call time instead, which is the same virtual instant.
+	// rel marks a relative Sleep whose absolute wake time is resolved when
+	// the action executes (applyNext).
 	rel    bool
 	op     machine.Op
 	remote machine.HWThread
 	mutex  *Mutex
 }
 
-// syscall parks the calling thread goroutine, hands control to the kernel,
-// and returns the kernel's reply when the thread is resumed.
-func (t *Thread) syscall(req request) replyMsg {
-	t.req = req
-	t.yielded <- struct{}{}
-	msg := <-t.run
-	if msg.kill {
-		panic(killSentinel{})
-	}
-	return t.reply
-}
-
-// handleRequest processes the kernel request recorded by the thread that
-// just yielded. Exactly one of the branches either resumes the thread
+// handleRequest processes the kernel request the thread's body just
+// returned. Exactly one of the branches either resumes the thread
 // (directly or via a costed service) or blocks it and releases its CPU.
 //
 //rtseed:kernelctx

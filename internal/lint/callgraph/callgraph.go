@@ -129,8 +129,8 @@ type Node struct {
 }
 
 // Name renders the node for diagnostics: "kernel.makeReady",
-// "(*kernel.Kernel).preempt", or "kernel.NewThread$2" for the second literal
-// created inside NewThread. Full import paths are shortened to the package
+// "(*kernel.Kernel).preempt", or "kernel.New$2" for the second literal
+// created inside New. Full import paths are shortened to the package
 // name so findings stay readable.
 func (n *Node) Name() string {
 	if n.Func != nil {

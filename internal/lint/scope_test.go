@@ -91,3 +91,53 @@ func TestSimScopeExemptRTNotImported(t *testing.T) {
 		}
 	}
 }
+
+// TestOraclesNotImportedByProductionCode keeps the test-only reference
+// implementations out of the shipped program: internal/engine/oracle (the
+// min-heap event queue) and internal/kernel/oracle (the blocking-script
+// adapter) exist for differential tests and benchmarks, so no non-test file
+// under cmd/, examples/ or internal/ may import them — otherwise the
+// blocking thread API the kernel deliberately no longer offers would creep
+// back into production through the adapter.
+func TestOraclesNotImportedByProductionCode(t *testing.T) {
+	oracles := []string{"rtseed/internal/engine/oracle", "rtseed/internal/kernel/oracle"}
+	own := []string{filepath.Join("..", "engine", "oracle"), filepath.Join("..", "kernel", "oracle")}
+	fset := token.NewFileSet()
+	for _, root := range []string{filepath.Join("..", "..", "cmd"), filepath.Join("..", "..", "examples"), ".."} {
+		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() {
+				if d.Name() == "testdata" {
+					return filepath.SkipDir
+				}
+				for _, dir := range own {
+					if filepath.Clean(path) == dir {
+						return filepath.SkipDir
+					}
+				}
+				return nil
+			}
+			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+			if err != nil {
+				return err
+			}
+			for _, imp := range f.Imports {
+				p, _ := strconv.Unquote(imp.Path.Value)
+				for _, banned := range oracles {
+					if p == banned {
+						t.Errorf("%s imports %s; the oracles are test-only and production code must not depend on them", path, p)
+					}
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("walking %s: %v", root, err)
+		}
+	}
+}

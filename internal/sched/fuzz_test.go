@@ -6,17 +6,18 @@ import (
 
 	"rtseed/internal/engine"
 	"rtseed/internal/kernel"
+	"rtseed/internal/kernel/oracle"
 	"rtseed/internal/machine"
 	"rtseed/internal/task"
 	"rtseed/internal/trace"
 )
 
-// FuzzBodyVsGoroutine is the differential oracle for the continuation
-// executor: the same UUniFast-generated task set runs once with the
-// continuation bodies NewManyTask builds and once with blocking bodies on the
-// goroutine executor — same task set, thread names, priorities and CPUs — and
-// the two trace files must be byte-identical. The executors share every
-// kernel handler, so any divergence in the body programs — an extra or
+// FuzzBodyVsGoroutine is the differential oracle for the many-task bodies:
+// the same UUniFast-generated task set runs once with the continuation
+// bodies NewManyTask builds and once with blocking scripts through the
+// kernel/oracle adapter — same task set, thread names, priorities and CPUs —
+// and the two trace files must be byte-identical. Both forms drive the same
+// kernel handlers, so any divergence in the body programs — an extra or
 // missing request, a changed burst length or release time, a reordered
 // wake — shows up as a differing trace byte. The many-task bodies issue only
 // SleepUntil and positive Computes, so the degenerate-action short-circuits
@@ -47,14 +48,14 @@ func FuzzBodyVsGoroutine(f *testing.F) {
 			return e, k, &buf
 		}
 		// The periodic bodies never exit; run a bounded slice of virtual
-		// time and cut both executors off at the same point.
+		// time and cut both forms off at the same point.
 		run := func(e *engine.Engine, k *kernel.Kernel, buf *bytes.Buffer) []byte {
 			for i := 0; i < 20000; i++ {
 				if !e.Step() {
 					break
 				}
 			}
-			k.Shutdown()
+			oracle.Shutdown(k)
 			if err := k.Trace().Close(k.ThreadInfos()); err != nil {
 				t.Fatal(err)
 			}
@@ -82,7 +83,7 @@ func FuzzBodyVsGoroutine(f *testing.F) {
 		gorJobs := 0
 		threads := make([]*kernel.Thread, len(cfgs))
 		for i, tk := range sys.Set.Tasks {
-			threads[i] = k.MustNewThread(cfgs[i], blockingBody(tk, releaseOnly, &gorJobs))
+			threads[i] = oracle.MustNewThread(k, cfgs[i], blockingBody(tk, releaseOnly, &gorJobs))
 		}
 		for _, th := range threads {
 			th.Start()
@@ -103,18 +104,18 @@ func FuzzBodyVsGoroutine(f *testing.F) {
 	})
 }
 
-// blockingBody is manyTaskBody's program in the goroutine executor's
-// blocking form, counting finished jobs into *jobs.
-func blockingBody(tk task.Task, releaseOnly bool, jobs *int) func(*kernel.TCB) {
+// blockingBody is manyTaskBody's program as a blocking oracle script,
+// counting finished jobs into *jobs.
+func blockingBody(tk task.Task, releaseOnly bool, jobs *int) func(*oracle.TCB) {
 	if releaseOnly {
-		return func(c *kernel.TCB) {
+		return func(c *oracle.TCB) {
 			for release := c.Now(); ; release = release.Add(tk.Period) {
 				c.SleepUntil(release)
 				*jobs++
 			}
 		}
 	}
-	return func(c *kernel.TCB) {
+	return func(c *oracle.TCB) {
 		for release := c.Now(); ; release = release.Add(tk.Period) {
 			c.SleepUntil(release)
 			c.Compute(tk.Mandatory)

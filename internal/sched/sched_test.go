@@ -12,6 +12,7 @@ import (
 	"rtseed/internal/core"
 	"rtseed/internal/engine"
 	"rtseed/internal/kernel"
+	"rtseed/internal/kernel/oracle"
 	"rtseed/internal/machine"
 	"rtseed/internal/partition"
 	"rtseed/internal/task"
@@ -129,13 +130,13 @@ func TestFig3Shapes(t *testing.T) {
 func TestRecorderExecuted(t *testing.T) {
 	k := newSim(t)
 	rec := NewRecorder(k)
-	th := k.MustNewThread(kernel.ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *kernel.TCB) {
+	th := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *oracle.TCB) {
 		c.Compute(ms(10))
 		c.Sleep(ms(10))
 		c.Compute(ms(10))
 	})
 	th.Start()
-	k.Run()
+	oracle.Run(k)
 	total := rec.Executed(th, engine.At(0), engine.At(time.Hour))
 	if total < ms(20) || total > ms(21) {
 		t.Fatalf("executed %v, want ~20ms", total)
@@ -359,15 +360,15 @@ func TestGanttRendersSchedule(t *testing.T) {
 	k := newSim(t)
 	rec := NewRecorder(k)
 	// Two threads on one CPU: hi runs [0,10ms), lo runs [10ms,20ms).
-	hi := k.MustNewThread(kernel.ThreadConfig{Name: "hi", Priority: 60, CPU: 0}, func(c *kernel.TCB) {
+	hi := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "hi", Priority: 60, CPU: 0}, func(c *oracle.TCB) {
 		c.Compute(ms(10))
 	})
-	lo := k.MustNewThread(kernel.ThreadConfig{Name: "lo", Priority: 50, CPU: 0}, func(c *kernel.TCB) {
+	lo := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "lo", Priority: 50, CPU: 0}, func(c *oracle.TCB) {
 		c.Compute(ms(10))
 	})
 	hi.Start()
 	lo.Start()
-	k.Run()
+	oracle.Run(k)
 	out := Gantt(rec, []*kernel.Thread{hi, lo}, engine.At(0), engine.At(ms(20)), 20)
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 3 {
@@ -495,13 +496,13 @@ func TestGRMWPReleaseLatencyExceedsPRMWP(t *testing.T) {
 func TestExportJSON(t *testing.T) {
 	k := newSim(t)
 	rec := NewRecorder(k)
-	th := k.MustNewThread(kernel.ThreadConfig{Name: "t", Priority: 55, CPU: 2}, func(c *kernel.TCB) {
+	th := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "t", Priority: 55, CPU: 2}, func(c *oracle.TCB) {
 		c.Compute(ms(10))
 		c.Sleep(ms(5))
 		c.Compute(ms(5))
 	})
 	th.Start()
-	k.Run()
+	oracle.Run(k)
 	var buf bytes.Buffer
 	if err := ExportJSON(&buf, rec, []*kernel.Thread{th}, engine.At(0), engine.At(ms(30))); err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"rtseed/internal/assign"
 	"rtseed/internal/engine"
 	"rtseed/internal/kernel"
+	"rtseed/internal/kernel/oracle"
 	"rtseed/internal/machine"
 	"rtseed/internal/partition"
 	"rtseed/internal/task"
@@ -104,13 +105,13 @@ func TestTraceCountsMatchStats(t *testing.T) {
 func TestRecorderReplayFromFile(t *testing.T) {
 	k := newSim(t)
 	live := NewRecorder(k)
-	th := k.MustNewThread(kernel.ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *kernel.TCB) {
+	th := oracle.MustNewThread(k, kernel.ThreadConfig{Name: "t", Priority: 50, CPU: 0}, func(c *oracle.TCB) {
 		c.Compute(ms(10))
 		c.Sleep(ms(10))
 		c.Compute(ms(10))
 	})
 	th.Start()
-	k.Run()
+	oracle.Run(k)
 
 	var buf bytes.Buffer
 	if err := k.Trace().WriteTo(&buf, k.ThreadInfos()); err != nil {

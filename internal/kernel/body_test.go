@@ -46,7 +46,7 @@ func TestBodyThreadRunsToExit(t *testing.T) {
 		},
 	}})
 	th.Start()
-	oracle.Run(k)
+	k.Run()
 	if !ran {
 		t.Fatal("continuation body did not run to the post-compute step")
 	}
@@ -66,7 +66,7 @@ func TestBodyComputeAdvancesVirtualTime(t *testing.T) {
 		},
 	}})
 	th.Start()
-	oracle.Run(k)
+	k.Run()
 	if end < engine.At(10*time.Millisecond) || end > engine.At(11*time.Millisecond) {
 		t.Fatalf("end %v, want 10ms + dispatch overhead", end)
 	}
@@ -92,7 +92,7 @@ func TestBodyHigherPriorityPreempts(t *testing.T) {
 	}})
 	lo.Start()
 	hi.Start()
-	oracle.Run(k)
+	k.Run()
 	if hiEnd >= loEnd {
 		t.Fatalf("high-priority thread should finish first: hi=%v lo=%v", hiEnd, loEnd)
 	}
@@ -117,7 +117,7 @@ func TestBodyEqualPriorityFIFO(t *testing.T) {
 	b := mk("b", time.Millisecond)
 	a.Start()
 	b.Start()
-	oracle.Run(k)
+	k.Run()
 	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
 		t.Fatalf("SCHED_FIFO order %v, want [a b]", order)
 	}
@@ -140,9 +140,9 @@ func TestBodyCondVarHandshake(t *testing.T) {
 	}})
 	consumer.Start()
 	producer.Start()
-	oracle.Run(k)
+	k.Run()
 	if !got {
-		t.Fatal("consumer never woke from kernel.CondWait")
+		t.Fatal("consumer never woke from CondWait")
 	}
 }
 
@@ -164,7 +164,7 @@ func TestBodyMutexSerializes(t *testing.T) {
 	b := mk("b", 1)
 	a.Start()
 	b.Start()
-	oracle.Run(k)
+	k.Run()
 	if len(order) != 2 {
 		t.Fatalf("order %v, want both threads through the critical section", order)
 	}
@@ -175,7 +175,7 @@ func TestBodyMutexSerializes(t *testing.T) {
 
 // TestBodyTimerTerminatesInterruptibleBurst is the sigjmp-termination shape
 // as a hand-written body: arm the one-shot timer, start an
-// interruptible burst, and observe the termination through kernel.Resume.
+// interruptible burst, and observe the termination through Resume.
 func TestBodyTimerTerminatesInterruptibleBurst(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	var completed bool
@@ -191,7 +191,7 @@ func TestBodyTimerTerminatesInterruptibleBurst(t *testing.T) {
 		},
 	}})
 	th.Start()
-	oracle.Run(k)
+	k.Run()
 	if completed {
 		t.Fatal("burst should have been terminated by the timer")
 	}
@@ -215,7 +215,7 @@ func TestBodyRelativeSleepResolvesAtExecution(t *testing.T) {
 		},
 	}})
 	th.Start()
-	oracle.Run(k)
+	k.Run()
 	if want := afterCompute.Add(7 * time.Millisecond); woke < want {
 		t.Fatalf("woke at %v, want >= %v (sleep must be relative to its execution instant)", woke, want)
 	}
@@ -235,7 +235,7 @@ func TestBodyMigrateMovesThread(t *testing.T) {
 		},
 	}})
 	th.Start()
-	oracle.Run(k)
+	k.Run()
 	if before != 0 || after != 3 {
 		t.Fatalf("migrate moved %d -> %d, want 0 -> 3", before, after)
 	}
@@ -270,7 +270,7 @@ func TestBodyImmediateActionsTrampoline(t *testing.T) {
 	})
 	th := k.MustNewBodyThread(kernel.ThreadConfig{Name: "t", Priority: 50, CPU: 0}, body)
 	th.Start()
-	oracle.Run(k)
+	k.Run()
 	if n <= rounds {
 		t.Fatalf("body stepped %d times, want > %d", n, rounds)
 	}
@@ -283,10 +283,10 @@ func TestBodyZeroNextPanics(t *testing.T) {
 	th.Start()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("zero kernel.Next must panic")
+			t.Fatal("zero Next must panic")
 		}
 	}()
-	oracle.Run(k)
+	k.Run()
 }
 
 func TestNewBodyThreadValidation(t *testing.T) {
@@ -369,10 +369,10 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 // byte-identical trace files. The sched package fuzzes the same property
 // over random task sets (FuzzBodyVsGoroutine); this is the deterministic
 // in-kernel anchor. The tail of m's program pins what the many-task bodies
-// never issue: a relative kernel.Sleep (resolved when the action executes), the
-// degenerate actions the continuation path short-circuits — kernel.Compute(0),
-// kernel.ComputeInterruptible(0) and a kernel.Migrate to the current CPU — and a
-// kernel.Compute(0) issued while a higher-priority thread h is ready on m's CPU,
+// never issue: a relative Sleep (resolved when the action executes), the
+// degenerate actions the continuation path short-circuits — Compute(0),
+// ComputeInterruptible(0) and a Migrate to the current CPU — and a
+// Compute(0) issued while a higher-priority thread h is ready on m's CPU,
 // where a missing short-circuit would yield the CPU early.
 func TestBodyVsGoroutineIdenticalTrace(t *testing.T) {
 	run := func(continuation bool) []byte {

@@ -277,7 +277,7 @@ func TestTimerStopCancelsAndClearsPending(t *testing.T) {
 	th.Start()
 	oracle.Run(k)
 	if !completed {
-		t.Fatal("burst should complete after kernel.TimerStop")
+		t.Fatal("burst should complete after TimerStop")
 	}
 }
 
@@ -468,6 +468,6 @@ func TestChargeOpConsumesTime(t *testing.T) {
 	th.Start()
 	oracle.Run(k)
 	if after <= before {
-		t.Fatal("kernel.ChargeOp should consume virtual time")
+		t.Fatal("ChargeOp should consume virtual time")
 	}
 }

@@ -94,6 +94,7 @@ func TestMutexUnlockByNonOwnerPanics(t *testing.T) {
 		if recover() == nil {
 			t.Fatal("unlock by non-owner should panic")
 		}
+		oracle.Shutdown(k) // unwind the scripts the panic left parked
 	}()
 	oracle.Run(k)
 }
@@ -110,6 +111,7 @@ func TestMutexRecursiveLockPanics(t *testing.T) {
 		if recover() == nil {
 			t.Fatal("recursive lock should panic")
 		}
+		oracle.Shutdown(k) // unwind the scripts the panic left parked
 	}()
 	oracle.Run(k)
 }
@@ -268,7 +270,7 @@ func TestYieldRotatesEqualPriority(t *testing.T) {
 	}
 }
 
-// kernel.Yield with an empty queue just continues.
+// Yield with an empty queue just continues.
 func TestYieldAloneContinues(t *testing.T) {
 	k := testKernel(t, machine.NoLoad)
 	done := false

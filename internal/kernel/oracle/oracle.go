@@ -69,7 +69,9 @@ type TCB struct {
 type unwound struct{}
 
 // registry maps each kernel to the scripts created on it, so Run and
-// Shutdown can unwind the ones still parked.
+// Shutdown can unwind the ones still parked. The kernel has no shutdown
+// hook to hang them on (it needs none for its own bodies), and keying by
+// kernel keeps tests that run in parallel out of each other's scripts.
 var registry struct {
 	sync.Mutex
 	scripts map[*kernel.Kernel][]*TCB

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -51,26 +54,26 @@ func TestParseFlagsRejectsNonPositiveWorkers(t *testing.T) {
 }
 
 func TestRunQuickSingleFigure(t *testing.T) {
-	if err := run(13, 3, true, 0, "", 2); err != nil {
+	if err := run(io.Discard, 13, 3, true, 0, "", 2); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunUnknownFigure(t *testing.T) {
-	if err := run(99, 3, true, 0, "", 2); err == nil {
+	if err := run(io.Discard, 99, 3, true, 0, "", 2); err == nil {
 		t.Fatal("unknown figure accepted")
 	}
 }
 
 func TestRunWithCSV(t *testing.T) {
 	path := t.TempDir() + "/figs.csv"
-	if err := run(10, 2, true, 0, path, 2); err != nil {
+	if err := run(io.Discard, 10, 2, true, 0, path, 2); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunDistributions(t *testing.T) {
-	if err := runDistributions(3, 0); err != nil {
+	if err := runDistributions(io.Discard, 3, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -86,4 +89,59 @@ func TestParseFlagsProfilePaths(t *testing.T) {
 	if o, err = parseFlags(testFlagSet(), nil); err != nil || o.cpuprofile != "" || o.memprofile != "" {
 		t.Errorf("profiling not off by default: %+v (err %v)", o, err)
 	}
+}
+
+// TestRunQuickGolden pins `rtseed-overhead -quick -workers 2` byte for byte:
+// every Figs. 10-13 table at np = 4, 57 and 228. To accept an intended
+// change, regenerate testdata/quick.golden from that command.
+func TestRunQuickGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run(&buf, 0, 100, true, 0, "", 2); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "quick.golden", buf.Bytes())
+}
+
+// TestRunDistributionsGolden pins `rtseed-overhead -dist -jobs 10` byte for
+// byte. Its np=228 p95/p99 columns are the tails of the kernel's mutex,
+// condvar and timer service paths, which the -quick means average away. To
+// accept an intended change, regenerate testdata/dist.golden from that
+// command.
+func TestRunDistributionsGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := runDistributions(&buf, 10, 0); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "dist.golden", buf.Bytes())
+}
+
+// checkGolden fails t unless got equals testdata/name, naming the first
+// line where they differ and quoting both sides of it.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	line := 0
+	for line < len(gotLines) && line < len(wantLines) && gotLines[line] == wantLines[line] {
+		line++
+	}
+	t.Fatalf("output differs from testdata/%s at line %d:\n got: %q\nwant: %q",
+		name, line+1, lineAt(gotLines, line), lineAt(wantLines, line))
+}
+
+// lineAt returns lines[i] cut to 120 bytes, or a marker past the end.
+func lineAt(lines []string, i int) string {
+	if i >= len(lines) {
+		return "<end of output>"
+	}
+	if s := lines[i]; len(s) > 120 {
+		return s[:120] + "..."
+	}
+	return lines[i]
 }

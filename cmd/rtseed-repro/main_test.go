@@ -106,16 +106,24 @@ func TestRunQuickGolden(t *testing.T) {
 	if bytes.Equal(got, want) {
 		return
 	}
-	path := filepath.Join(t.TempDir(), "quick.actual")
-	if err := os.WriteFile(path, got, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	gotLines, wantLines := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
 	line := 0
 	for line < len(gotLines) && line < len(wantLines) && gotLines[line] == wantLines[line] {
 		line++
 	}
-	t.Fatalf("report differs from testdata/quick.golden at line %d; actual output written to %s", line+1, path)
+	t.Fatalf("report differs from testdata/quick.golden at line %d:\n got: %q\nwant: %q",
+		line+1, lineAt(gotLines, line), lineAt(wantLines, line))
+}
+
+// lineAt returns lines[i] cut to 120 bytes, or a marker past the end.
+func lineAt(lines []string, i int) string {
+	if i >= len(lines) {
+		return "<end of output>"
+	}
+	if s := lines[i]; len(s) > 120 {
+		return s[:120] + "..."
+	}
+	return lines[i]
 }
 
 // The binary trace is byte-identical across worker counts: the traced

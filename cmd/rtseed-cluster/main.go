@@ -92,7 +92,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	if o.policy, err = cluster.ParsePolicy(policyName); err != nil {
 		return nil, err
 	}
-	if o.load, err = parseLoad(loadName); err != nil {
+	if o.load, err = machine.ParseLoad(loadName); err != nil {
 		return nil, err
 	}
 	if err := sweep.ValidateWorkers(o.workers); err != nil {
@@ -107,19 +107,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 		o.horizon = 300 * time.Millisecond
 	}
 	return o, nil
-}
-
-func parseLoad(s string) (machine.Load, error) {
-	switch s {
-	case "none":
-		return machine.NoLoad, nil
-	case "cpu":
-		return machine.CPULoad, nil
-	case "cpumem":
-		return machine.CPUMemoryLoad, nil
-	default:
-		return 0, fmt.Errorf("unknown load %q (want none, cpu, cpumem)", s)
-	}
 }
 
 // config maps the options onto the cluster configuration.

@@ -43,42 +43,16 @@ func main() {
 	}
 }
 
-func parsePolicy(s string) (assign.Policy, error) {
-	switch s {
-	case "one":
-		return assign.OneByOne, nil
-	case "two":
-		return assign.TwoByTwo, nil
-	case "all":
-		return assign.AllByAll, nil
-	default:
-		return 0, fmt.Errorf("unknown policy %q (want one, two, all)", s)
-	}
-}
-
-func parseLoad(s string) (machine.Load, error) {
-	switch s {
-	case "none":
-		return machine.NoLoad, nil
-	case "cpu":
-		return machine.CPULoad, nil
-	case "cpumem":
-		return machine.CPUMemoryLoad, nil
-	default:
-		return 0, fmt.Errorf("unknown load %q (want none, cpu, cpumem)", s)
-	}
-}
-
 func run(spec, schedName, policyName, loadName string, horizon, margin time.Duration, trace, gantt bool) error {
 	set, err := task.ParseSpec(spec)
 	if err != nil {
 		return err
 	}
-	pol, err := parsePolicy(policyName)
+	pol, err := assign.ParsePolicy(policyName)
 	if err != nil {
 		return err
 	}
-	load, err := parseLoad(loadName)
+	load, err := machine.ParseLoad(loadName)
 	if err != nil {
 		return err
 	}

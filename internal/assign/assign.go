@@ -48,6 +48,19 @@ func (p Policy) String() string {
 // Valid reports whether p is a defined policy.
 func (p Policy) Valid() bool { return p >= OneByOne && p <= AllByAll }
 
+// ParsePolicy maps a CLI name (one, two or all) to its Policy.
+func ParsePolicy(s string) (Policy, error) {
+	switch s {
+	case "one":
+		return OneByOne, nil
+	case "two":
+		return TwoByTwo, nil
+	case "all":
+		return AllByAll, nil
+	}
+	return 0, fmt.Errorf("assign: unknown policy %q (want one, two, all)", s)
+}
+
 // HWThreads returns the hardware threads for np parallel optional parts
 // under policy p on topology topo, in part order (part k runs on element k).
 // The first part is always placed on hardware thread 0 — the paper requires

@@ -1,6 +1,7 @@
 package assign
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -144,6 +145,22 @@ func TestPolicyStrings(t *testing.T) {
 	}
 	if Policy(0).Valid() {
 		t.Fatal("zero policy should be invalid")
+	}
+}
+
+func TestParsePolicy(t *testing.T) {
+	for name, want := range map[string]Policy{"one": OneByOne, "two": TwoByTwo, "all": AllByAll} {
+		if got, err := ParsePolicy(name); err != nil || got != want {
+			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, bad := range []string{"", "One by One", "ONE", "three"} {
+		_, err := ParsePolicy(bad)
+		if err == nil {
+			t.Errorf("ParsePolicy(%q) accepted", bad)
+		} else if !strings.Contains(err.Error(), "(want one, two, all)") {
+			t.Errorf("ParsePolicy(%q) error %q does not list the spellings", bad, err)
+		}
 	}
 }
 

@@ -284,7 +284,7 @@ func (p *Process) OptionalThreads() []*kernel.Thread {
 // that the kernel's own thread-state records cannot name.
 //
 //rtseed:noalloc
-//rtseed:kernelctx-entry simulated-thread context: the kernel handshake runs one thread at a time, serialized with the event loop
+//rtseed:kernelctx-entry simulated-thread context: called from a body's Step, which the kernel runs inline in its event dispatch, one thread at a time
 func (p *Process) emit(c *kernel.TCB, kind trace.Kind, arg uint64) {
 	if tr := p.k.Trace(); tr != nil {
 		tr.Emit(c.Now(), uint16(c.HWThread()), uint32(c.Thread().ID()), kind, arg)
@@ -295,7 +295,7 @@ func (p *Process) emit(c *kernel.TCB, kind trace.Kind, arg uint64) {
 // instant of KindJobRelease, which precedes the emitting thread's wake-up).
 //
 //rtseed:noalloc
-//rtseed:kernelctx-entry simulated-thread context: the kernel handshake runs one thread at a time, serialized with the event loop
+//rtseed:kernelctx-entry simulated-thread context: called from a body's Step, which the kernel runs inline in its event dispatch, one thread at a time
 func (p *Process) emitAt(c *kernel.TCB, at engine.Time, kind trace.Kind, arg uint64) {
 	if tr := p.k.Trace(); tr != nil {
 		tr.Emit(at, uint16(c.HWThread()), uint32(c.Thread().ID()), kind, arg)

@@ -28,7 +28,7 @@ import (
 // outside the kernel may call Step directly, and Step must never be spawned
 // onto a goroutine. Steady-state Step implementations on benchmarked hot
 // paths should also be allocation-free — a continuation that captures fresh
-// state per step defeats the point of removing the handshake.
+// state per step defeats the point of running bodies inline.
 type Body interface {
 	Step(c *TCB, r Resume) Next
 }
@@ -61,14 +61,49 @@ type Resume struct {
 // invalid; construct one with the action constructors below. Each action
 // suspends the thread in virtual time according to the machine cost model
 // and resumes it with the action's outcome in the next Step's Resume.
+//
+// A Next is the kernel's whole record of the request: the kernel keeps the
+// thread's current action in Thread.next and reads its operands from there
+// until the action completes.
 type Next struct {
-	req request
+	kind          actionKind
+	interruptible bool // Compute: SIGALRM may terminate the burst
+	mask          bool // SetAlarmMask
+	rel           bool // Sleep: at is resolved from dur when the action runs
+	dur           time.Duration
+	at            engine.Time
+	cv            *CondVar
+	mutex         *Mutex
+	op            machine.Op
+	// cpu is the destination of ChargeOpRemote and Migrate.
+	cpu machine.HWThread
 }
+
+// actionKind names the system call a Next models.
+type actionKind uint8
+
+const (
+	actCompute actionKind = iota + 1
+	actSleepUntil
+	actCondWait
+	actCondSignal
+	actCondBroadcast
+	actTimerSet
+	actTimerStop
+	actSetAlarmMask
+	actChargeOp
+	actChargeOpRemote
+	actMutexLock
+	actMutexUnlock
+	actMigrate
+	actYield
+	actExit
+)
 
 // Compute burns d of CPU time. The burst is preemptible by higher-priority
 // threads but cannot be terminated by SIGALRM. d <= 0 completes immediately.
 func Compute(d time.Duration) Next {
-	return Next{req: request{kind: reqCompute, dur: d}}
+	return Next{kind: actCompute, dur: d}
 }
 
 // ComputeInterruptible burns up to d of CPU time; a SIGALRM (from the
@@ -79,32 +114,32 @@ func Compute(d time.Duration) Next {
 // termination mechanism decides how (and whether) to restore the mask.
 // d <= 0 completes immediately.
 func ComputeInterruptible(d time.Duration) Next {
-	return Next{req: request{kind: reqCompute, dur: d, interruptible: true}}
+	return Next{kind: actCompute, dur: d, interruptible: true}
 }
 
 // SleepUntil blocks until the absolute virtual time at (clock_nanosleep
 // with TIMER_ABSTIME). A wake-up from sleep is priced as a job-release
 // dispatch.
 func SleepUntil(at engine.Time) Next {
-	return Next{req: request{kind: reqSleepUntil, at: at}}
+	return Next{kind: actSleepUntil, at: at}
 }
 
 // Sleep blocks for the duration d, measured from the instant the action is
 // executed.
 func Sleep(d time.Duration) Next {
-	return Next{req: request{kind: reqSleepUntil, dur: d, rel: true}}
+	return Next{kind: actSleepUntil, dur: d, rel: true}
 }
 
 // CondWait blocks on cv until signalled (pthread_cond_wait).
 func CondWait(cv *CondVar) Next {
-	return Next{req: request{kind: reqCondWait, cv: cv}}
+	return Next{kind: actCondWait, cv: cv}
 }
 
 // CondSignal wakes the longest-waiting thread blocked on cv, if any
 // (pthread_cond_signal). Waking a thread on another core additionally pays
 // the cross-core transfer penalty.
 func CondSignal(cv *CondVar) Next {
-	return Next{req: request{kind: reqCondSignal, cv: cv}}
+	return Next{kind: actCondSignal, cv: cv}
 }
 
 // CondBroadcast wakes every thread blocked on cv (pthread_cond_broadcast).
@@ -112,54 +147,54 @@ func CondSignal(cv *CondVar) Next {
 // go to specific threads as their jobs are dispatched — but the primitive
 // exists for completeness and for the ablation benchmarks.
 func CondBroadcast(cv *CondVar) Next {
-	return Next{req: request{kind: reqCondBroadcast, cv: cv}}
+	return Next{kind: actCondBroadcast, cv: cv}
 }
 
 // TimerSet arms the thread's one-shot SIGALRM timer at absolute time at
 // (timer_settime, TIMER_ABSTIME), replacing any armed timer.
 func TimerSet(at engine.Time) Next {
-	return Next{req: request{kind: reqTimerSet, at: at}}
+	return Next{kind: actTimerSet, at: at}
 }
 
 // TimerStop disarms the timer and discards a pending SIGALRM.
 func TimerStop() Next {
-	return Next{req: request{kind: reqTimerStop}}
+	return Next{kind: actTimerStop}
 }
 
 // SetAlarmMask blocks (true) or unblocks (false) SIGALRM for the thread.
 func SetAlarmMask(masked bool) Next {
-	return Next{req: request{kind: reqSetAlarmMask, mask: masked}}
+	return Next{kind: actSetAlarmMask, mask: masked}
 }
 
 // Yield relinquishes the CPU to the back of the caller's priority level
 // (sched_yield under SCHED_FIFO). With no equal-or-higher-priority thread
 // ready, the caller continues after the switch cost.
 func Yield() Next {
-	return Next{req: request{kind: reqYield}}
+	return Next{kind: actYield}
 }
 
 // ChargeOp burns the cost of one machine primitive on the calling CPU; used
 // for explicitly-modelled middleware work such as sigsetjmp/siglongjmp.
 func ChargeOp(op machine.Op) Next {
-	return Next{req: request{kind: reqChargeOp, op: op}}
+	return Next{kind: actChargeOp, op: op}
 }
 
 // ChargeOpRemote burns the cost of op directed at hardware thread to,
 // including the cross-core penalty when to is on a different core.
 func ChargeOpRemote(op machine.Op, to machine.HWThread) Next {
-	return Next{req: request{kind: reqChargeOpRemote, op: op, remote: to}}
+	return Next{kind: actChargeOpRemote, op: op, cpu: to}
 }
 
 // MutexLock acquires m, blocking in FIFO order while it is held.
 func MutexLock(m *Mutex) Next {
-	return Next{req: request{kind: reqMutexLock, mutex: m}}
+	return Next{kind: actMutexLock, mutex: m}
 }
 
 // MutexUnlock releases m and hands it to the longest-waiting contender, if
 // any. The kernel panics if the caller does not hold m: unlocking someone
 // else's mutex is always a program bug.
 func MutexUnlock(m *Mutex) Next {
-	return Next{req: request{kind: reqMutexUnlock, mutex: m}}
+	return Next{kind: actMutexUnlock, mutex: m}
 }
 
 // Migrate re-pins the calling thread to cpu (sched_setaffinity at runtime)
@@ -169,12 +204,12 @@ func MutexUnlock(m *Mutex) Next {
 // scheduling. Migrating to the current CPU is a no-op that completes
 // immediately.
 func Migrate(cpu machine.HWThread) Next {
-	return Next{req: request{kind: reqMigrate, remote: cpu}}
+	return Next{kind: actMigrate, cpu: cpu}
 }
 
 // Done ends the body: the thread exits.
 func Done() Next {
-	return Next{req: request{kind: reqExit}}
+	return Next{kind: actExit}
 }
 
 // NewBodyThread creates a simulated thread whose body is a resumable
@@ -198,7 +233,7 @@ func (k *Kernel) MustNewBodyThread(cfg ThreadConfig, body Body) *Thread {
 	return t
 }
 
-// resumeThread hands the CPU to t's body: deliver the previous action's
+// resumeThread hands the CPU to t's body: deliver r, the previous action's
 // outcome, obtain the next action, and execute it. Exactly one thread runs
 // host code at a time, and the "context switch" is a plain call into the
 // body's Step. The loop is a trampoline: actions that resolve without
@@ -209,8 +244,8 @@ func (k *Kernel) MustNewBodyThread(cfg ThreadConfig, body Body) *Thread {
 //
 //rtseed:noalloc
 //rtseed:kernelctx
-func (k *Kernel) resumeThread(t *Thread, reply replyMsg) {
-	t.stepReply = reply
+func (k *Kernel) resumeThread(t *Thread, r Resume) {
+	t.stepReply = r
 	t.stepPending = true
 	if t.stepping {
 		return
@@ -218,45 +253,67 @@ func (k *Kernel) resumeThread(t *Thread, reply replyMsg) {
 	t.stepping = true
 	for t.stepPending && t.state != StateExited {
 		t.stepPending = false
-		r := Resume{
-			First:     t.stepFirst,
-			Completed: t.stepReply.completed,
-			Ran:       t.stepReply.ran,
-			Unran:     t.stepReply.unran,
-		}
-		t.stepFirst = false
-		next := t.stepBody.Step(&t.tcb, r)
-		k.applyNext(t, next)
+		k.applyNext(t, t.stepBody.Step(&t.tcb, t.stepReply))
 	}
 	t.stepping = false
 }
 
 // applyNext executes the action a body returned. Degenerate actions —
-// zero-length computes and same-CPU migrations — complete immediately
-// without a kernel request, and a relative Sleep resolves to its absolute
-// wake time here. The blocking scripts of the kernel/oracle package take the
-// same shortcuts on their own side, so the differential tests check these.
+// zero-length computes and same-CPU migrations — complete immediately, and a
+// relative Sleep resolves to its absolute wake time here. The blocking
+// scripts of the kernel/oracle package take the same shortcuts on their own
+// side, so the differential tests check these. Every other action is stored
+// in t.next and either completes here, blocks the thread, or arms a costed
+// service that finishService completes.
 //
 //rtseed:noalloc
 //rtseed:kernelctx
 func (k *Kernel) applyNext(t *Thread, n Next) {
-	req := n.req
 	switch {
-	case req.kind == 0:
+	case n.kind == 0:
 		badNext(t) // cold path split out so applyNext stays lean
-	case req.kind == reqCompute && req.dur <= 0:
-		k.resumeThread(t, replyMsg{completed: true})
+	case n.kind == actCompute && n.dur <= 0, n.kind == actMigrate && n.cpu == t.cpuID:
+		k.resumeThread(t, Resume{Completed: true})
 		return
-	case req.kind == reqMigrate && req.remote == t.cpuID:
-		k.resumeThread(t, replyMsg{completed: true})
-		return
-	case req.rel:
-		req.rel = false
-		req.at = k.eng.Now().Add(req.dur)
-		req.dur = 0
+	case n.rel:
+		n.rel = false
+		n.at = k.eng.Now().Add(n.dur)
+		n.dur = 0
 	}
-	t.req = req
-	k.handleRequest(t)
+	t.next = n
+	switch n.kind {
+	case actCompute:
+		k.handleCompute(t)
+	case actSleepUntil:
+		k.handleSleep(t)
+	case actCondWait:
+		k.service(t, k.mach.Cost(machine.OpCondWait, t.cpuID))
+	case actCondSignal:
+		k.service(t, k.signalCost(t, n.cv))
+	case actCondBroadcast:
+		k.service(t, k.broadcastCost(t, n.cv))
+	case actTimerSet, actTimerStop:
+		k.service(t, k.mach.Cost(machine.OpTimerProgram, t.cpuID))
+	case actSetAlarmMask:
+		// pthread_sigmask. Unblocking with a signal pending delivers it at
+		// the thread's next interruptible burst.
+		t.alarmMasked = n.mask
+		k.resumeThread(t, Resume{Completed: true})
+	case actChargeOp:
+		k.service(t, k.mach.Cost(n.op, t.cpuID))
+	case actChargeOpRemote:
+		k.service(t, k.mach.RemoteCost(n.op, t.cpuID, n.cpu))
+	case actMutexLock:
+		k.handleMutexLock(t, n.mutex)
+	case actMutexUnlock:
+		k.handleMutexUnlock(t, n.mutex)
+	case actMigrate:
+		k.service(t, k.migrateCost(t, n.cpu))
+	case actYield:
+		k.handleYield(t)
+	case actExit:
+		k.handleExit(t)
+	}
 }
 
 func badNext(t *Thread) {

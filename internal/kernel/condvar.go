@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"time"
+
 	"rtseed/internal/list"
 	"rtseed/internal/machine"
 )
@@ -26,43 +28,32 @@ func (cv *CondVar) Name() string { return cv.name }
 // Waiters returns the number of blocked threads.
 func (cv *CondVar) Waiters() int { return cv.waiters.Len() }
 
-// The condvar handlers complete through the thread's pre-allocated
-// condWaitFn/condSignalFn/condBroadcastFn callbacks, with the condition
-// variable stashed in t.svcCV until the service fires — arming the costed
-// service must not allocate a closure on the kernel path.
-
+// signalCost prices pthread_cond_signal on cv by t, with the cross-core
+// transfer penalty when the woken thread lives on another core. The local
+// price is drawn even then: every draw advances the machine's jitter
+// stream.
+//
 //rtseed:noalloc
 //rtseed:kernelctx
-func (k *Kernel) handleCondWait(t *Thread, req request) {
-	cost := k.mach.Cost(machine.OpCondWait, t.cpuID)
-	t.svcCV = req.cv
-	k.service(t, cost, t.condWaitFn)
-}
-
-//rtseed:noalloc
-//rtseed:kernelctx
-func (k *Kernel) handleCondSignal(t *Thread, req request) {
-	// Price the signal with the cross-core transfer penalty when the woken
-	// thread lives on another core.
-	target := req.cv.waiters.Front()
-	var cost = k.mach.Cost(machine.OpCondSignal, t.cpuID)
-	if target != nil {
+func (k *Kernel) signalCost(t *Thread, cv *CondVar) time.Duration {
+	cost := k.mach.Cost(machine.OpCondSignal, t.cpuID)
+	if target := cv.waiters.Front(); target != nil {
 		cost = k.mach.RemoteCost(machine.OpCondSignal, t.cpuID, target.Value.cpuID)
 	}
-	t.svcCV = req.cv
-	k.service(t, cost, t.condSignalFn)
+	return cost
 }
 
+// broadcastCost prices pthread_cond_broadcast on cv by t: one signal's worth
+// of work per waiter, and at least one.
+//
 //rtseed:noalloc
 //rtseed:kernelctx
-func (k *Kernel) handleCondBroadcast(t *Thread, req request) {
+func (k *Kernel) broadcastCost(t *Thread, cv *CondVar) time.Duration {
 	cost := k.mach.Cost(machine.OpCondSignal, t.cpuID)
-	// Each additional waiter adds another signal's worth of work.
-	for i := 1; i < req.cv.waiters.Len(); i++ {
+	for i := 1; i < cv.waiters.Len(); i++ {
 		cost += k.mach.Cost(machine.OpCondSignal, t.cpuID)
 	}
-	t.svcCV = req.cv
-	k.service(t, cost, t.condBroadcastFn)
+	return cost
 }
 
 // wakeOne unblocks the front waiter of cv, if any.

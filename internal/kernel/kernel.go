@@ -329,7 +329,7 @@ func (k *Kernel) finishCompute(t *Thread) {
 	t.computeRemaining = 0
 	t.inCompute = false
 	t.state = StateRunning
-	k.resumeThread(t, replyMsg{completed: true, ran: t.computeRan})
+	k.resumeThread(t, Resume{Completed: true, Ran: t.computeRan})
 }
 
 // interruptCompute terminates the running interruptible burst of t with a
@@ -357,35 +357,81 @@ func (k *Kernel) interruptCompute(t *Thread) {
 	t.alarmMasked = true // handler entry blocks the signal
 	t.inCompute = false
 	t.state = StateRunning
-	cost := k.mach.Cost(machine.OpTimerInterrupt, t.cpuID)
-	k.service(t, cost, t.interruptDoneFn)
+	k.service(t, k.mach.Cost(machine.OpTimerInterrupt, t.cpuID))
 }
 
-// service occupies t's CPU for cost (non-preemptible) and then runs then.
+// service occupies t's CPU for cost (non-preemptible) and then completes
+// t's current action in finishService.
 //
 //rtseed:noalloc
 //rtseed:kernelctx
-func (k *Kernel) service(t *Thread, cost time.Duration, then func()) {
+func (k *Kernel) service(t *Thread, cost time.Duration) {
 	c := k.cpu(t.cpuID)
 	if c.current != t {
 		panic("kernel: service for non-current thread")
 	}
 	c.busy = true
 	c.serviceCost = cost
-	c.serviceThen = then
+	c.serviceT = t
 	k.eng.After(cost, prioService, c.serviceFn)
 }
 
-// finishService completes the costed kernel service armed by service.
+// finishService completes the costed kernel service armed by service. The
+// action's operands are still in t.next: t stays parked in the call until
+// this resumes or blocks it.
 //
 //rtseed:noalloc
 //rtseed:kernelctx
 func (k *Kernel) finishService(c *cpu) {
 	c.busy = false
-	then := c.serviceThen
-	c.serviceThen = nil
+	t := c.serviceT
+	c.serviceT = nil
 	k.accountRun(c, nil, c.serviceCost)
-	then()
+	n := &t.next
+	switch n.kind {
+	case actCompute:
+		// The SIGALRM handler entry that terminated an interruptible burst
+		// (interruptCompute).
+		unran := t.computeRemaining
+		t.computeRemaining = 0
+		k.resumeThread(t, Resume{Ran: t.computeRan, Unran: unran})
+	case actCondWait:
+		t.state = StateBlocked
+		n.cv.waiters.PushBackNode(t.cvNode)
+		k.emit(t, trace.KindBlock, 0)
+		t.pendingReply = Resume{Completed: true}
+		k.releaseCPU(t)
+	case actCondSignal:
+		k.wakeOne(n.cv)
+		k.resumeThread(t, Resume{Completed: true})
+	case actCondBroadcast:
+		for n.cv.waiters.Len() > 0 {
+			k.wakeOne(n.cv)
+		}
+		k.resumeThread(t, Resume{Completed: true})
+	case actTimerSet:
+		// timer_settime with TIMER_ABSTIME replaces any armed timer.
+		k.eng.Cancel(t.timer)
+		at := n.at
+		if at < k.eng.Now() {
+			at = k.eng.Now()
+		}
+		t.timer = k.eng.Schedule(at, prioTimer, t.alarmFireFn)
+		k.emit(t, trace.KindTimerArm, uint64(at))
+		k.resumeThread(t, Resume{Completed: true})
+	case actTimerStop:
+		// Disarm, and discard any pending, undelivered SIGALRM.
+		k.eng.Cancel(t.timer)
+		t.timer = engine.Event{}
+		t.pendingAlarm = false
+		k.resumeThread(t, Resume{Completed: true})
+	case actChargeOp, actChargeOpRemote:
+		k.resumeThread(t, Resume{Completed: true})
+	case actMigrate:
+		k.migrate(t, n.cpu)
+	case actSleepUntil, actSetAlarmMask, actMutexLock, actMutexUnlock, actYield, actExit:
+		panic("kernel: service completion for an action that arms no service")
+	}
 }
 
 // nominal converts wall-clock execution into accomplished work under the
@@ -409,7 +455,7 @@ func (k *Kernel) handleYield(t *Thread) {
 	k.setCurrent(c, nil)
 	t.state = StateReady
 	t.dispatchOp = machine.OpContextSwitch
-	t.pendingReply = replyMsg{completed: true}
+	t.pendingReply = Resume{Completed: true}
 	c.runq.enqueue(t, false)
 	k.emit(t, trace.KindReady, 0)
 	k.scheduleDispatch(c)

@@ -35,11 +35,10 @@ func (m *Mutex) Locked() bool { return m.owner != nil }
 func (m *Mutex) Waiters() int { return m.waiters.Len() }
 
 //rtseed:kernelctx
-func (k *Kernel) handleMutexLock(t *Thread, req request) {
-	m := req.mutex
+func (k *Kernel) handleMutexLock(t *Thread, m *Mutex) {
 	if m.owner == nil {
 		m.owner = t
-		k.resumeThread(t, replyMsg{completed: true})
+		k.resumeThread(t, Resume{Completed: true})
 		return
 	}
 	if m.owner == t {
@@ -48,14 +47,13 @@ func (k *Kernel) handleMutexLock(t *Thread, req request) {
 	t.state = StateBlocked
 	m.waiters.PushBackNode(t.cvNode)
 	k.emit(t, trace.KindBlock, 0)
-	t.pendingReply = replyMsg{completed: true}
+	t.pendingReply = Resume{Completed: true}
 	k.boostOwner(m)
 	k.releaseCPU(t)
 }
 
 //rtseed:kernelctx
-func (k *Kernel) handleMutexUnlock(t *Thread, req request) {
-	m := req.mutex
+func (k *Kernel) handleMutexUnlock(t *Thread, m *Mutex) {
 	if m.owner != t {
 		panic("kernel: unlock of mutex not held by caller")
 	}
@@ -71,5 +69,5 @@ func (k *Kernel) handleMutexUnlock(t *Thread, req request) {
 	} else {
 		m.owner = nil
 	}
-	k.resumeThread(t, replyMsg{completed: true})
+	k.resumeThread(t, Resume{Completed: true})
 }

@@ -169,7 +169,7 @@ type cpu struct {
 	dispatchT   *Thread
 	dispatchFn  func()
 	serviceCost time.Duration
-	serviceThen func()
+	serviceT    *Thread
 	serviceFn   func()
 }
 

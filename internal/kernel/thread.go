@@ -79,19 +79,21 @@ type Thread struct {
 
 	// The thread's body (body.go): the kernel drives its state machine
 	// inline from the dispatch path. tcb is the pre-allocated TCB handed to
-	// every Step, stepReply/stepFirst the pending Resume, and
+	// every Step, stepReply the Resume for the next Step, and
 	// stepping/stepPending the trampoline state of resumeThread.
 	stepBody    Body
 	tcb         TCB
-	stepReply   replyMsg
-	stepFirst   bool
+	stepReply   Resume
 	stepping    bool
 	stepPending bool
 
-	req request
+	// next is the action the body returned last: the kernel reads its
+	// operands from here until the action completes.
+	next Next
 	// pendingReply is delivered when the thread is next dispatched after
-	// being woken from a blocking call.
-	pendingReply replyMsg
+	// being woken from a blocking call; before the first dispatch it is
+	// the first Step's Resume.
+	pendingReply Resume
 
 	// qnext/qprev link the thread into its run-queue priority level, and
 	// queued marks membership. A thread is in at most one ready queue, so
@@ -131,32 +133,17 @@ type Thread struct {
 	// SIGALRM state.
 	alarmMasked  bool
 	pendingAlarm bool
-	timer        engine.Event //rtseed:handle-ok re-armed under Cancel by finishTimerSet and zeroed on disarm/exit
+	timer        engine.Event //rtseed:handle-ok re-armed under Cancel by finishService and zeroed on disarm/exit
 
-	// Pre-allocated engine and service callbacks for the per-job hot paths
-	// (timer fire, wake-up, compute completion, alarm interrupt return,
-	// timer_settime service). Each reads its parameters from the thread's
-	// fields at fire time — safe because the thread is parked in the kernel
-	// call until the callback resumes it — so arming an event allocates no
-	// closure.
-	computeDoneFn   func()
-	alarmFireFn     func()
-	wakeFn          func()
-	interruptDoneFn func()
-	timerSetFn      func()
-	timerStopFn     func()
-	resumeOKFn      func()
-	condWaitFn      func()
-	condSignalFn    func()
-	condBroadcastFn func()
-	migrateFn       func()
-
-	// Scratch parameters for the pre-allocated service callbacks above: the
-	// condition variable or destination CPU of the thread's in-flight kernel
-	// request, stashed by the handler and read back at fire time. Exactly one
-	// request per thread is in flight, so a single slot each suffices.
-	svcCV  *CondVar
-	svcCPU machine.HWThread
+	// Pre-allocated engine callbacks for the per-job hot paths (compute
+	// completion, timer fire, wake-up). Each reads its parameters from the
+	// thread's fields at fire time — safe because the thread is parked in
+	// the kernel call until the callback resumes it — so arming an event
+	// allocates no closure. Costed kernel services need none: they
+	// complete in finishService, which reads their operands from next.
+	computeDoneFn func()
+	alarmFireFn   func()
+	wakeFn        func()
 }
 
 // ID returns the thread's creation-order identifier.
@@ -191,15 +178,15 @@ func (k *Kernel) newThread(cfg ThreadConfig, body Body) (*Thread, error) {
 	}
 	k.nextTID++
 	t := &Thread{
-		id:         k.nextTID,
-		name:       cfg.Name,
-		prio:       cfg.Priority,
-		cpuID:      cfg.CPU,
-		k:          k,
-		state:      StateNew,
-		dispatchOp: machine.OpContextSwitch,
-		stepBody:   body,
-		stepFirst:  true,
+		id:           k.nextTID,
+		name:         cfg.Name,
+		prio:         cfg.Priority,
+		cpuID:        cfg.CPU,
+		k:            k,
+		state:        StateNew,
+		dispatchOp:   machine.OpContextSwitch,
+		stepBody:     body,
+		pendingReply: Resume{First: true},
 	}
 	t.tcb = TCB{t: t}
 	// The thread owns its waiter-list node for its whole lifetime:
@@ -223,59 +210,6 @@ func (k *Kernel) newThread(cfg ThreadConfig, body Body) (*Thread, error) {
 		}
 		t.dispatchOp = machine.OpDispatch
 		k.makeReady(t, false)
-	}
-	//rtseed:kernelctx
-	t.interruptDoneFn = func() {
-		remaining := t.computeRemaining
-		t.computeRemaining = 0
-		k.resumeThread(t, replyMsg{completed: false, ran: t.computeRan, unran: remaining})
-	}
-	//rtseed:kernelctx
-	t.timerSetFn = func() { k.finishTimerSet(t) }
-	//rtseed:kernelctx
-	t.timerStopFn = func() { k.finishTimerStop(t) }
-	//rtseed:kernelctx
-	t.resumeOKFn = func() { k.resumeThread(t, replyMsg{completed: true}) }
-	//rtseed:kernelctx
-	t.condWaitFn = func() {
-		cv := t.svcCV
-		t.svcCV = nil
-		t.state = StateBlocked
-		cv.waiters.PushBackNode(t.cvNode)
-		k.emit(t, trace.KindBlock, 0)
-		t.pendingReply = replyMsg{completed: true}
-		k.releaseCPU(t)
-	}
-	//rtseed:kernelctx
-	t.condSignalFn = func() {
-		cv := t.svcCV
-		t.svcCV = nil
-		k.wakeOne(cv)
-		k.resumeThread(t, replyMsg{completed: true})
-	}
-	//rtseed:kernelctx
-	t.condBroadcastFn = func() {
-		cv := t.svcCV
-		t.svcCV = nil
-		for cv.waiters.Len() > 0 {
-			k.wakeOne(cv)
-		}
-		k.resumeThread(t, replyMsg{completed: true})
-	}
-	//rtseed:kernelctx
-	t.migrateFn = func() {
-		target := t.svcCPU
-		old := t.cpuID
-		k.setCurrent(k.cpu(old), nil)
-		k.mach.UnbindRT(old)
-		t.cpuID = target
-		k.mach.BindRT(target)
-		t.migrations++
-		t.dispatchOp = machine.OpContextSwitch
-		t.pendingReply = replyMsg{completed: true}
-		k.makeReady(t, false)
-		// The old CPU is free; let it pick its next thread.
-		k.scheduleDispatch(k.cpu(old))
 	}
 	k.threads = append(k.threads, t)
 	k.mach.BindRT(t.cpuID)
@@ -310,136 +244,12 @@ func (k *Kernel) unbind(t *Thread) {
 	k.mach.UnbindRT(t.cpuID)
 }
 
-type replyMsg struct {
-	completed bool
-	ran       time.Duration
-	unran     time.Duration
-}
-
-type requestKind int
-
-const (
-	reqCompute requestKind = iota + 1
-	reqSleepUntil
-	reqCondWait
-	reqCondSignal
-	reqCondBroadcast
-	reqTimerSet
-	reqTimerStop
-	reqSetAlarmMask
-	reqChargeOp
-	reqChargeOpRemote
-	reqMutexLock
-	reqMutexUnlock
-	reqMigrate
-	reqYield
-	reqExit
-)
-
-// String implements fmt.Stringer, naming the system call a request models.
-func (k requestKind) String() string {
-	switch k {
-	case reqCompute:
-		return "compute"
-	case reqSleepUntil:
-		return "sleep-until"
-	case reqCondWait:
-		return "cond-wait"
-	case reqCondSignal:
-		return "cond-signal"
-	case reqCondBroadcast:
-		return "cond-broadcast"
-	case reqTimerSet:
-		return "timer-set"
-	case reqTimerStop:
-		return "timer-stop"
-	case reqSetAlarmMask:
-		return "set-alarm-mask"
-	case reqChargeOp:
-		return "charge-op"
-	case reqChargeOpRemote:
-		return "charge-op-remote"
-	case reqMutexLock:
-		return "mutex-lock"
-	case reqMutexUnlock:
-		return "mutex-unlock"
-	case reqMigrate:
-		return "migrate"
-	case reqYield:
-		return "yield"
-	case reqExit:
-		return "exit"
-	default:
-		return "unknown"
-	}
-}
-
-type request struct {
-	kind          requestKind
-	dur           time.Duration
-	at            engine.Time
-	cv            *CondVar
-	interruptible bool
-	mask          bool
-	// rel marks a relative Sleep whose absolute wake time is resolved when
-	// the action executes (applyNext).
-	rel    bool
-	op     machine.Op
-	remote machine.HWThread
-	mutex  *Mutex
-}
-
-// handleRequest processes the kernel request the thread's body just
-// returned. Exactly one of the branches either resumes the thread
-// (directly or via a costed service) or blocks it and releases its CPU.
-//
 //rtseed:kernelctx
-func (k *Kernel) handleRequest(t *Thread) {
-	req := t.req
-	switch req.kind {
-	case reqCompute:
-		k.handleCompute(t, req)
-	case reqSleepUntil:
-		k.handleSleep(t, req)
-	case reqCondWait:
-		k.handleCondWait(t, req)
-	case reqCondSignal:
-		k.handleCondSignal(t, req)
-	case reqCondBroadcast:
-		k.handleCondBroadcast(t, req)
-	case reqTimerSet:
-		k.handleTimerSet(t, req)
-	case reqTimerStop:
-		k.handleTimerStop(t)
-	case reqSetAlarmMask:
-		k.handleSetAlarmMask(t, req)
-	case reqChargeOp:
-		cost := k.mach.Cost(req.op, t.cpuID)
-		k.service(t, cost, t.resumeOKFn)
-	case reqChargeOpRemote:
-		cost := k.mach.RemoteCost(req.op, t.cpuID, req.remote)
-		k.service(t, cost, t.resumeOKFn)
-	case reqMutexLock:
-		k.handleMutexLock(t, req)
-	case reqMutexUnlock:
-		k.handleMutexUnlock(t, req)
-	case reqMigrate:
-		k.handleMigrate(t, req)
-	case reqYield:
-		k.handleYield(t)
-	case reqExit:
-		k.handleExit(t)
-	default:
-		panic(fmt.Sprintf("kernel: unknown request %d", req.kind))
-	}
-}
-
-//rtseed:kernelctx
-func (k *Kernel) handleCompute(t *Thread, req request) {
-	t.computeRemaining = req.dur
+func (k *Kernel) handleCompute(t *Thread) {
+	t.computeRemaining = t.next.dur
 	t.computeRan = 0
 	t.computeFactor = 1
-	t.interruptible = req.interruptible
+	t.interruptible = t.next.interruptible
 	c := k.cpu(t.cpuID)
 	// Yield to a higher-priority ready thread before starting the burst.
 	if top := c.runq.topPriority(); top > t.prio {
@@ -456,16 +266,16 @@ func (k *Kernel) handleCompute(t *Thread, req request) {
 }
 
 //rtseed:kernelctx
-func (k *Kernel) handleSleep(t *Thread, req request) {
-	if req.at <= k.eng.Now() {
-		k.resumeThread(t, replyMsg{completed: true})
+func (k *Kernel) handleSleep(t *Thread) {
+	if t.next.at <= k.eng.Now() {
+		k.resumeThread(t, Resume{Completed: true})
 		return
 	}
 	t.state = StateSleeping
 	k.emit(t, trace.KindSleep, 0)
 	k.releaseCPU(t)
-	t.pendingReply = replyMsg{completed: true}
-	k.eng.Schedule(req.at, prioRelease, t.wakeFn)
+	t.pendingReply = Resume{Completed: true}
+	k.eng.Schedule(t.next.at, prioRelease, t.wakeFn)
 }
 
 //rtseed:kernelctx

@@ -1,7 +1,7 @@
 // Package exhaustive implements the enum-switch coverage analyzer.
 //
 // RT-Seed's behavior forks on small declared enums at every layer: thread
-// lifecycle (kernel.State), the request protocol (kernel.requestKind), trace
+// lifecycle (kernel.State), the kernel actions (kernel.actionKind), trace
 // record kinds (trace.Kind), scheduler policies. A switch that silently
 // ignores a newly added member is exactly how "add a trace kind" corrupts
 // the analyzer and Perfetto decoders three packages away. This analyzer

@@ -1,5 +1,7 @@
 package machine
 
+import "fmt"
+
 // Load is the background load condition of the overhead experiments
 // (paper §V-B): no background tasks, infinite CPU-bound loops on every
 // hardware thread, or 512 KB (one L2's worth) read/write loops on every
@@ -36,3 +38,16 @@ func (l Load) String() string {
 
 // Valid reports whether l is one of the three defined loads.
 func (l Load) Valid() bool { return l >= NoLoad && l <= CPUMemoryLoad }
+
+// ParseLoad maps a CLI name (none, cpu or cpumem) to its Load.
+func ParseLoad(s string) (Load, error) {
+	switch s {
+	case "none":
+		return NoLoad, nil
+	case "cpu":
+		return CPULoad, nil
+	case "cpumem":
+		return CPUMemoryLoad, nil
+	}
+	return 0, fmt.Errorf("machine: unknown load %q (want none, cpu, cpumem)", s)
+}

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -83,6 +84,22 @@ func TestLoadStrings(t *testing.T) {
 	}
 	if Load(0).Valid() || Load(99).Valid() {
 		t.Fatal("invalid loads must not validate")
+	}
+}
+
+func TestParseLoad(t *testing.T) {
+	for name, want := range map[string]Load{"none": NoLoad, "cpu": CPULoad, "cpumem": CPUMemoryLoad} {
+		if got, err := ParseLoad(name); err != nil || got != want {
+			t.Errorf("ParseLoad(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, bad := range []string{"", "No load", "CPU", "mem"} {
+		_, err := ParseLoad(bad)
+		if err == nil {
+			t.Errorf("ParseLoad(%q) accepted", bad)
+		} else if !strings.Contains(err.Error(), "(want none, cpu, cpumem)") {
+			t.Errorf("ParseLoad(%q) error %q does not list the spellings", bad, err)
+		}
 	}
 }
 

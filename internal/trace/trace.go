@@ -227,8 +227,8 @@ type cpuRing struct {
 }
 
 // Tracer collects trace records. All methods must be called from the
-// simulation's single host-code thread (the kernel handshake already
-// guarantees this); the tracer does no locking.
+// simulation's single host-code thread (the kernel runs every thread body
+// inline in its event dispatch, so this holds); the tracer does no locking.
 type Tracer struct {
 	rings     []cpuRing
 	capacity  int

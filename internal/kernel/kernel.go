@@ -298,7 +298,7 @@ func (k *Kernel) startCompute(t *Thread) {
 	t.inCompute = true
 	// A pending SIGALRM is delivered as soon as the thread enters (or
 	// re-enters) an interruptible burst with the signal unmasked.
-	if t.interruptible && t.pendingAlarm && !t.alarmMasked {
+	if t.next.interruptible && t.pendingAlarm && !t.alarmMasked {
 		k.interruptCompute(t)
 		return
 	}
@@ -310,7 +310,7 @@ func (k *Kernel) startCompute(t *Thread) {
 	// wall time a unit of work takes, which is how the assignment policy
 	// affects the QoS achieved by the optional deadline.
 	t.computeFactor = 1
-	if t.interruptible {
+	if t.next.interruptible {
 		t.computeFactor = k.mach.ThroughputFactor(t.cpuID)
 	}
 	wall := time.Duration(float64(t.computeRemaining) * t.computeFactor)

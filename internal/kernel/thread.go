@@ -112,9 +112,9 @@ type Thread struct {
 	// Compute burst bookkeeping. computeRemaining and computeRan are
 	// nominal work; computeFactor is the SMT throughput factor sampled at
 	// the current segment's start (interruptible bursts only), stretching
-	// the wall time a unit of work takes.
+	// the wall time a unit of work takes. Whether the burst is
+	// interruptible is read from the compute action in next.
 	inCompute        bool
-	interruptible    bool
 	computeRemaining time.Duration
 	computeRan       time.Duration
 	computeFactor    float64
@@ -249,7 +249,6 @@ func (k *Kernel) handleCompute(t *Thread) {
 	t.computeRemaining = t.next.dur
 	t.computeRan = 0
 	t.computeFactor = 1
-	t.interruptible = t.next.interruptible
 	c := k.cpu(t.cpuID)
 	// Yield to a higher-priority ready thread before starting the burst.
 	if top := c.runq.topPriority(); top > t.prio {

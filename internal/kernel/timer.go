@@ -21,7 +21,7 @@ func (k *Kernel) deliverAlarm(t *Thread) {
 //rtseed:noalloc
 //rtseed:kernelctx
 func (k *Kernel) checkAlarm(t *Thread) {
-	if !t.pendingAlarm || t.alarmMasked || !t.interruptible {
+	if !t.pendingAlarm || t.alarmMasked || !t.next.interruptible {
 		return
 	}
 	if t.state != StateComputing {

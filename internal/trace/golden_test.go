@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -27,6 +28,13 @@ const (
 	schedTraceDigest    = "812b3bf9481e1c2ab25f4e79fb60701b198b8172c6459913f05968b32cfa9345"
 	schedAnalysisDigest = "752f876251be8f97c3d0a8eaaa70c0229b3e60bdf1a83c62655475a5dcf1025c"
 	clusterDigest       = "2871dd7eebcc397324d1b0233fd47139a22441ba30ab588b7adf159b570aed08"
+
+	// percpuTraceDigest and percpuAnalysisDigest pin the decoded Trace and
+	// Analysis of percpuRun, whose file testdata/percpu-v1.rtt was written by
+	// the per-CPU-ring tracer: its record sections are per-CPU chunks whose
+	// sequence numbers interleave across sections.
+	percpuTraceDigest    = "3df45950c45c48a523117eba94e6395945376973677a870f8aaeb82a00088b68"
+	percpuAnalysisDigest = "f43ba514fcaeb6c50cf95a5ef46e904c19fb686996f63a7f568f0de2f2cf79d1"
 )
 
 func jsonDigest(t *testing.T, vs ...any) string {
@@ -115,5 +123,65 @@ func TestAnalyzeGoldenCluster(t *testing.T) {
 	}
 	if got := jsonDigest(t, vs...); got != clusterDigest {
 		t.Errorf("digest %s, want %s", got, clusterDigest)
+	}
+}
+
+// percpuRun records a short P-RMWP run on a 4-CPU machine with 8-record
+// sections, so the file holds many record sections, and returns the file.
+func percpuRun(t *testing.T) []byte {
+	t.Helper()
+	model := machine.DefaultCostModel()
+	model.JitterFrac = 0
+	m, err := machine.New(machine.Topology{Cores: 2, ThreadsPerCore: 2}, machine.NoLoad, model, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := kernel.New(engine.New(), m)
+	var buf bytes.Buffer
+	k.SetTrace(trace.New(trace.Config{CPUs: m.Topology().NumHWThreads(), Capacity: 8, Sink: &buf}))
+	ms := func(d int) time.Duration { return time.Duration(d) * time.Millisecond }
+	sys, err := sched.NewPRMWP(k, sched.PRMWPConfig{
+		Set: task.MustNewSet(
+			task.Uniform("fast", ms(2), ms(2), ms(20), 3, ms(10)),
+			task.Uniform("slow", ms(4), ms(4), ms(40), 3, ms(20)),
+		),
+		Horizon:        ms(40),
+		Policy:         assign.AllByAll,
+		Heuristic:      partition.FirstFit,
+		OverheadMargin: ms(1),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Start()
+	k.Run()
+	if err := k.Trace().Close(k.ThreadInfos()); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestPerCPUFileDigests pins the read-back of a file written by the
+// per-CPU-ring tracer and requires the same run, recorded by the current
+// tracer, to decode to the same Trace and Analysis.
+func TestPerCPUFileDigests(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", "percpu-v1.rtt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{{"testdata/percpu-v1.rtt", old}, {"fresh recording", percpuRun(t)}} {
+		decoded, err := trace.Decode(c.data)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := jsonDigest(t, decoded); got != percpuTraceDigest {
+			t.Errorf("%s: trace digest %s, want %s", c.name, got, percpuTraceDigest)
+		}
+		if got := jsonDigest(t, trace.Analyze(decoded)); got != percpuAnalysisDigest {
+			t.Errorf("%s: analysis digest %s, want %s", c.name, got, percpuAnalysisDigest)
+		}
 	}
 }

@@ -257,9 +257,60 @@ func isOptSuffix(s string) bool {
 type taskAgg struct {
 	stat     TaskStat
 	counted  bool
-	releases map[int]engine.Time // job → release instant
-	overran  map[int][]int       // job → parts terminated at OD
-	preempts []int               // indexes of the task's KindPreempt records
+	releases releaseTable
+	overran  map[int][]int // job → parts terminated at OD
+	preempts []int         // indexes of the task's KindPreempt records
+}
+
+// releaseTable maps a task's job numbers to their latest release instants.
+// Jobs are numbered 0, 1, 2, ... in a real trace, so the table is a slice
+// indexed by job number. A job number that would grow the slice past twice
+// the task's release records, plus a constant, goes to a map instead: such
+// numbers appear only in hostile files, and the bound keeps the table's
+// memory linear in the records for any input.
+type releaseTable struct {
+	dense  []release
+	sparse map[int]engine.Time
+	n      int // release records seen
+}
+
+// release is one slot of releaseTable.dense.
+type release struct {
+	at  engine.Time
+	set bool
+}
+
+// denseSlack is how far past twice its release count a task's dense
+// release slice may reach.
+const denseSlack = 64
+
+// put records job's release at at.
+func (rt *releaseTable) put(job int, at engine.Time) {
+	rt.n++
+	if job >= 0 && job < len(rt.dense) {
+		rt.dense[job] = release{at: at, set: true}
+		return
+	}
+	if job >= 0 && job < 2*rt.n+denseSlack {
+		rt.dense = append(rt.dense, make([]release, job+1-len(rt.dense))...)
+		rt.dense[job] = release{at: at, set: true}
+		return
+	}
+	if rt.sparse == nil {
+		rt.sparse = make(map[int]engine.Time)
+	}
+	rt.sparse[job] = at
+}
+
+// get returns job's latest release. A set dense slot is newer than any map
+// entry for the same job: once the slice covers a job, put never writes the
+// map for it again.
+func (rt *releaseTable) get(job int) (engine.Time, bool) {
+	if job >= 0 && job < len(rt.dense) && rt.dense[job].set {
+		return rt.dense[job].at, true
+	}
+	at, ok := rt.sparse[job]
+	return at, ok
 }
 
 // count returns the task's statistics and marks the task as reported.
@@ -344,19 +395,16 @@ func Analyze(t *Trace) *Analysis {
 				}
 			}
 		case KindJobRelease:
-			if g.releases == nil {
-				g.releases = make(map[int]engine.Time)
-			}
-			g.releases[int(rec.Arg)] = rec.At
+			g.releases.put(int(rec.Arg), rec.At)
 		case KindMandStart:
 			s := g.count()
-			if rel, ok := g.releases[int(rec.Arg)]; ok {
+			if rel, ok := g.releases.get(int(rec.Arg)); ok {
 				s.ReleaseLat.Add(rec.At.Sub(rel))
 			}
 		case KindJobEnd:
 			s := g.count()
 			s.Jobs++
-			if rel, ok := g.releases[int(rec.Arg)]; ok {
+			if rel, ok := g.releases.get(int(rec.Arg)); ok {
 				s.Response.Add(rec.At.Sub(rel))
 			}
 		case KindOptEnd:
@@ -390,7 +438,7 @@ func Analyze(t *Trace) *Analysis {
 			m.OverranParts = append([]int(nil), parts...)
 			sort.Ints(m.OverranParts)
 		}
-		release, haveRelease := g.releases[job]
+		release, haveRelease := g.releases.get(job)
 		// Attribution over the job window: count the task's preemptions up
 		// to the miss and name the thread dispatched in place of the last
 		// one.

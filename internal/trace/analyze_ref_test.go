@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -154,8 +155,9 @@ func referenceAnalyze(t *Trace) *Analysis {
 // a thread named like the fallback name of an unlisted TID, and several
 // threads per task; TIDs 8-10 and 12 are not listed at all. TIDs 11 and 12
 // only ever run, so their tasks must not be reported. Timestamps mostly
-// advance but sometimes step back, and job indexes repeat.
-func manyMissTrace(rng *rand.Rand, n int) *Trace {
+// advance but sometimes step back, and every record's job number is drawn
+// from jobs, so job numbers repeat.
+func manyMissTrace(rng *rand.Rand, n int, jobs []int) *Trace {
 	t := &Trace{
 		Threads: []ThreadInfo{
 			{TID: 1, Name: "a.mand"},
@@ -179,7 +181,7 @@ func manyMissTrace(rng *rand.Rand, n int) *Trace {
 	for i := 0; i < n; i++ {
 		now += time.Duration(rng.Intn(100_000)) - 10_000
 		kind := kinds[rng.Intn(len(kinds))]
-		job := rng.Intn(6)
+		job := jobs[rng.Intn(len(jobs))]
 		arg := uint64(job)
 		switch kind {
 		case KindOptTerm, KindOptEnd, KindOptDiscard:
@@ -203,17 +205,35 @@ func manyMissTrace(rng *rand.Rand, n int) *Trace {
 	return t
 }
 
+// Job-number sets for manyMissTrace. A real trace numbers jobs 0, 1, 2, ...;
+// the others are what only a hostile or corrupt file holds. A miss record
+// keeps only the low 32 bits of its job number, and an optional-part record
+// the low 48, so for the huge and negative sets those records name other
+// jobs than the releases do.
+var (
+	denseJobs    = []int{0, 1, 2, 3, 4, 5}
+	sparseJobs   = []int{0, 3, 1000, 65_537, 1 << 20, 1<<31 - 1}
+	hugeJobs     = []int{1 << 40, 1<<40 + 1, 1 << 50, 1<<62 - 1, 7, 1 << 32}
+	negativeJobs = []int{-1, -2, -1 << 40, math.MinInt64, 0, 2}
+)
+
 // TestAnalyzeMatchesReference checks Analyze, miss attribution included,
-// against referenceAnalyze on traces with thousands of misses.
+// against referenceAnalyze on traces with thousands of misses, for dense,
+// sparse, huge and (as int) negative job numbers.
 func TestAnalyzeMatchesReference(t *testing.T) {
-	for seed := int64(1); seed <= 8; seed++ {
-		tr := manyMissTrace(rand.New(rand.NewSource(seed)), 200+int(seed)*600)
-		got, want := Analyze(tr), referenceAnalyze(tr)
-		if len(want.Misses) < len(tr.Records)/20 {
-			t.Fatalf("seed %d: only %d misses in %d records", seed, len(want.Misses), len(tr.Records))
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: Analyze differs from the reference\ngot  %+v\nwant %+v", seed, got, want)
+	for _, c := range []struct {
+		name string
+		jobs []int
+	}{{"dense", denseJobs}, {"sparse", sparseJobs}, {"huge", hugeJobs}, {"negative", negativeJobs}} {
+		for seed := int64(1); seed <= 8; seed++ {
+			tr := manyMissTrace(rand.New(rand.NewSource(seed)), 200+int(seed)*600, c.jobs)
+			got, want := Analyze(tr), referenceAnalyze(tr)
+			if len(want.Misses) < len(tr.Records)/20 {
+				t.Fatalf("%s seed %d: only %d misses in %d records", c.name, seed, len(want.Misses), len(tr.Records))
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s seed %d: Analyze differs from the reference\ngot  %+v\nwant %+v", c.name, seed, got, want)
+			}
 		}
 	}
 }

@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -200,5 +203,95 @@ func TestAnalyzeEmptyTrace(t *testing.T) {
 	}
 	if len(a.Tasks) != 0 || len(a.Misses) != 0 || len(a.CPUs) != 0 {
 		t.Fatalf("analysis %+v", a)
+	}
+}
+
+// TestReleaseTableMatchesMap drives releaseTable with runs of consecutive
+// job numbers mixed with sparse, huge and negative ones, and checks every
+// lookup against a plain map. The mix makes jobs land in the map first and
+// be covered by the slice later, where the slice must win.
+func TestReleaseTableMatchesMap(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var rt releaseTable
+		ref := make(map[int]engine.Time)
+		var keys []int
+		next := 0
+		for i := 0; i < 2000; i++ {
+			var job int
+			switch rng.Intn(8) {
+			case 0:
+				job = next + rng.Intn(500) // ahead of the slice, maybe beyond it
+			case 1:
+				job = rng.Intn(1 << 16)
+			case 2:
+				job = 1<<40 + rng.Intn(4)
+			case 3:
+				job = -1 - rng.Intn(4)
+			case 4:
+				job = math.MinInt64 + rng.Intn(2)
+			default:
+				job = next
+				next++
+			}
+			at := engine.At(time.Duration(rng.Int63n(1 << 40)))
+			rt.put(job, at)
+			if _, ok := ref[job]; !ok {
+				keys = append(keys, job)
+			}
+			ref[job] = at
+			for _, k := range append(keys, next+1, -7, 1<<41) {
+				got, ok := rt.get(k)
+				want, wantOK := ref[k]
+				if got != want || ok != wantOK {
+					t.Fatalf("seed %d op %d: get(%d) = %v, %t; want %v, %t", seed, i, k, got, ok, want, wantOK)
+				}
+			}
+		}
+		if limit := 2*rt.n + denseSlack; len(rt.dense) > limit {
+			t.Fatalf("seed %d: dense slice %d long after %d releases", seed, len(rt.dense), rt.n)
+		}
+	}
+}
+
+// analyzeAlloc returns the bytes Analyze allocates for t.
+func analyzeAlloc(t *Trace) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	a := Analyze(t)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(a)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// Analyze of N release records at job numbers 2^k allocates O(N) bytes, not
+// O(2^N): job numbers that would outgrow the release slice go to a map.
+func TestAnalyzeReleaseMemoryLinear(t *testing.T) {
+	releases := func(jobs []int) *Trace {
+		tr := &Trace{Threads: []ThreadInfo{{TID: 1, Name: "a.mand"}}}
+		for i, job := range jobs {
+			at := engine.At(time.Duration(i) * time.Microsecond)
+			tr.Records = append(tr.Records,
+				Record{Seq: uint64(2*i + 1), At: at, Arg: uint64(job), TID: 1, Kind: KindJobRelease},
+				Record{Seq: uint64(2*i + 2), At: at.Add(time.Microsecond), Arg: uint64(job), TID: 1, Kind: KindJobEnd})
+		}
+		return tr
+	}
+	var pow2 []int
+	for k := 0; k < 62; k++ {
+		pow2 = append(pow2, 1<<k)
+	}
+	if got, limit := analyzeAlloc(releases(pow2)), uint64(32<<10); got > limit {
+		t.Fatalf("Analyze of %d releases at jobs 2^k allocated %d bytes, limit %d", len(pow2), got, limit)
+	}
+	// Many sparse job numbers: the map grows with the records, and so may
+	// the bytes, but only linearly.
+	const n = 20_000
+	sparse := make([]int, n)
+	for i := range sparse {
+		sparse[i] = (i + 1) << 30
+	}
+	if got, limit := analyzeAlloc(releases(sparse)), uint64(200*n); got > limit {
+		t.Fatalf("Analyze of %d releases at sparse jobs allocated %d bytes, limit %d", n, got, limit)
 	}
 }

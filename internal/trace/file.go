@@ -7,10 +7,10 @@
 //
 // Sections:
 //
-//	'R' records: length/32 packed 32-byte records, one flushed ring chunk
-//	             per section. A chunk is an ascending run of sequence
-//	             numbers; the reader merges the runs of every section into
-//	             one stream in sequence order.
+//	'R' records: length/32 packed 32-byte records. The reader splits every
+//	             section into ascending runs of sequence numbers and merges
+//	             the runs of all sections into one stream in sequence order,
+//	             so any split of the records into sections decodes alike.
 //	'T' threads: u32 count, then per thread
 //	             u32 tid | u16 cpu | u16 priority | u16 namelen | name
 //	'L' lost:    u16 cpus, then cpus × u64 overwritten-record counts
@@ -23,6 +23,16 @@
 // The reader rejects unknown magic, versions, tags and kinds, nonzero
 // reserved bytes, section lengths that overrun the file, and duplicate
 // sequence numbers; it never panics on hostile input (FuzzTraceCodec).
+//
+// Section layout. A file-backed tracer writes its records in emission
+// order, Capacity records per 'R' section, so every section is one
+// ascending run that starts above the previous section's last sequence
+// number. Earlier writers spilled per-CPU ring chunks instead, whose
+// sections interleave in sequence number. Both are version 1: the format
+// never promised a section order, the reader's run merge accepts either
+// (testdata/percpu-v1.rtt pins an old-layout file), and the decoded Trace
+// of a run is the same under both layouts, so the spill order changed the
+// file bytes without a version bump.
 
 package trace
 
@@ -31,6 +41,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"rtseed/internal/engine"
@@ -61,25 +72,27 @@ func formatErr(format string, args ...any) error {
 
 // putRecord packs rec into buf[:recordSize].
 func putRecord(buf []byte, rec Record) {
-	binary.LittleEndian.PutUint64(buf[0:], rec.Seq)
-	binary.LittleEndian.PutUint64(buf[8:], uint64(rec.At))
-	binary.LittleEndian.PutUint64(buf[16:], rec.Arg)
-	binary.LittleEndian.PutUint32(buf[24:], rec.TID)
-	binary.LittleEndian.PutUint16(buf[28:], rec.CPU)
-	buf[30] = byte(rec.Kind)
-	buf[31] = 0
+	b := (*[recordSize]byte)(buf[:recordSize])
+	binary.LittleEndian.PutUint64(b[0:], rec.Seq)
+	binary.LittleEndian.PutUint64(b[8:], uint64(rec.At))
+	binary.LittleEndian.PutUint64(b[16:], rec.Arg)
+	binary.LittleEndian.PutUint32(b[24:], rec.TID)
+	binary.LittleEndian.PutUint16(b[28:], rec.CPU)
+	b[30] = byte(rec.Kind)
+	b[31] = 0
 }
 
 // getRecord unpacks buf[:recordSize]. Decode validates the kind and the
 // reserved byte (checkRecord) before it unpacks a record.
 func getRecord(buf []byte) Record {
+	b := (*[recordSize]byte)(buf[:recordSize])
 	return Record{
-		Seq:  binary.LittleEndian.Uint64(buf[0:]),
-		At:   engine.Time(binary.LittleEndian.Uint64(buf[8:])),
-		Arg:  binary.LittleEndian.Uint64(buf[16:]),
-		TID:  binary.LittleEndian.Uint32(buf[24:]),
-		CPU:  binary.LittleEndian.Uint16(buf[28:]),
-		Kind: Kind(buf[30]),
+		Seq:  binary.LittleEndian.Uint64(b[0:]),
+		At:   engine.Time(binary.LittleEndian.Uint64(b[8:])),
+		Arg:  binary.LittleEndian.Uint64(b[16:]),
+		TID:  binary.LittleEndian.Uint32(b[24:]),
+		CPU:  binary.LittleEndian.Uint16(b[28:]),
+		Kind: Kind(b[30]),
 	}
 }
 
@@ -109,16 +122,15 @@ func (tr *Tracer) writeHeader() {
 	tr.err = err
 }
 
-// flushRing spills every record of the full ring r to the sink as one 'R'
-// section and resets the ring. Cold path: runs once per Capacity records
-// per CPU; the encode buffer is pre-allocated at New.
+// spill writes the section buffer's n packed records to the sink as one 'R'
+// section and empties the buffer. Cold path: runs once per Capacity
+// records.
 //
 //rtseed:noalloc
-func (tr *Tracer) flushRing(r *cpuRing) {
+func (tr *Tracer) spill() {
 	tr.writeHeader()
-	n := r.w
-	r.w = 0
-	r.spilled += uint64(n)
+	n := tr.n
+	tr.n = 0
 	if tr.err != nil || n == 0 {
 		return
 	}
@@ -129,27 +141,20 @@ func (tr *Tracer) flushRing(r *cpuRing) {
 		tr.err = err
 		return
 	}
-	for i := 0; i < n; i++ {
-		putRecord(tr.encBuf[i*recordSize:], r.buf[i])
-	}
-	tr.flushed += uint64(n)
-	if _, err := tr.sink.Write(tr.encBuf[:n*recordSize]); err != nil {
+	if _, err := tr.sink.Write(tr.sec[:n*recordSize]); err != nil {
 		tr.err = err
 	}
 }
 
-// Close finishes a file-backed tracer: remaining ring contents are spilled,
-// followed by the thread and lost sections. It reports the first sink error
-// encountered anywhere on the write path. Close is not needed in
+// Close finishes a file-backed tracer: the records not yet spilled are
+// written, followed by the thread and lost sections. It reports the first
+// sink error encountered anywhere on the write path. Close is not needed in
 // flight-recorder mode (use WriteTo instead).
 func (tr *Tracer) Close(threads []ThreadInfo) error {
 	if tr.sink == nil {
 		return errors.New("trace: Close on a tracer without a sink")
 	}
-	tr.writeHeader()
-	for i := range tr.rings {
-		tr.flushRing(&tr.rings[i])
-	}
+	tr.spill()
 	if tr.err != nil {
 		return tr.err
 	}
@@ -265,10 +270,10 @@ func (t *Trace) ThreadByTID(tid uint32) *ThreadInfo {
 //
 // Decoding takes two passes. The first walks the sections in file order,
 // validates them, and notes every ascending run of sequence numbers (a
-// flushed ring chunk is one run). The second allocates Records at its exact
-// size and fills it by a k-way merge of the runs, decoding each record from
-// the image straight into its final slot and rejecting a duplicate sequence
-// number where its two copies meet.
+// section written in emission order is one run). The second allocates
+// Records at its exact size and fills it by a k-way merge of the runs,
+// decoding each record from the image straight into its final slot and
+// rejecting a duplicate sequence number where its two copies meet.
 func Decode(data []byte) (*Trace, error) {
 	if len(data) < 12 {
 		return nil, formatErr("file too short for header (%d bytes)", len(data))
@@ -367,23 +372,46 @@ func (h *runHeap) scan(data []byte, off, length int) error {
 }
 
 // merge fills out, whose length is the runs' total record count, with the
-// runs' records in sequence order.
+// runs' records in sequence order. It copies the top run's records as one
+// block for as long as they stay below the heads of the other runs, and
+// touches the heap only between blocks, so runs that do not overlap (an
+// emission-order file) decode as a sequential copy. Within a run sequence
+// numbers strictly ascend, so a duplicate can only be a block's first
+// record meeting the previous block's last.
 func (h runHeap) merge(data []byte, out []Record) error {
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		h.down(i)
 	}
-	for i := range out {
+	for i := 0; len(h) > 0; {
 		top := &h[0]
-		out[i] = getRecord(data[top.off:])
-		if i > 0 && out[i].Seq == out[i-1].Seq {
-			return formatErr("duplicate record sequence number %d", out[i].Seq)
+		if i > 0 && top.seq == out[i-1].Seq {
+			return formatErr("duplicate record sequence number %d", top.seq)
 		}
-		top.off += recordSize
-		if top.off == top.end {
+		// The top's head is at most limit, the least head of the other
+		// runs (the heap's second level), so the block is never empty.
+		limit := uint64(math.MaxUint64)
+		if len(h) > 1 {
+			limit = h[1].seq
+		}
+		if len(h) > 2 && h[2].seq < limit {
+			limit = h[2].seq
+		}
+		p := top.off
+		for {
+			out[i] = getRecord(data[p:])
+			i++
+			if p += recordSize; p == top.end {
+				break
+			}
+			if seq := binary.LittleEndian.Uint64(data[p:]); seq >= limit {
+				top.seq = seq
+				break
+			}
+		}
+		top.off = p
+		if p == top.end {
 			h[0] = h[len(h)-1]
 			h = h[:len(h)-1]
-		} else {
-			top.seq = binary.LittleEndian.Uint64(data[top.off:])
 		}
 		if len(h) > 0 {
 			h.down(0)

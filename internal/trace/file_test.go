@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -92,9 +95,9 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-// File-backed round trip: spills produce many record sections, one per
-// flushed ring chunk, interleaved across CPUs; the reader merges them back
-// into exact emission order.
+// File-backed round trip: records from every CPU spill in emission order,
+// many record sections of at most Capacity records; the reader merges them
+// back into exact emission order.
 func TestRoundTripFileBackedSpills(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		for _, cpus := range []int{1, 2, 5, 32} {
@@ -196,7 +199,7 @@ func TestDecodeAllocatesExactRecords(t *testing.T) {
 	if err := tr.Close([]ThreadInfo{{TID: 1, Name: "a.mand"}}); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes() // about n/capacity record sections, interleaved across the CPUs
+	data := buf.Bytes() // about n/capacity record sections
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	decoded, err := Decode(data)
@@ -210,6 +213,130 @@ func TestDecodeAllocatesExactRecords(t *testing.T) {
 	const slack = 64 << 10
 	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(recordSize*n+slack); got > limit {
 		t.Fatalf("Decode allocated %d bytes for %d records, limit %d", got, n, limit)
+	}
+}
+
+// recordSections returns the sequence numbers of every 'R' section of a
+// well-formed file image, one slice per section, in file order.
+func recordSections(t *testing.T, data []byte) [][]uint64 {
+	t.Helper()
+	var secs [][]uint64
+	for rest := data[12:]; len(rest) > 0; {
+		tag, length := rest[0], binary.LittleEndian.Uint64(rest[1:])
+		payload := rest[9 : 9+length]
+		rest = rest[9+length:]
+		if tag != secRecords {
+			continue
+		}
+		var seqs []uint64
+		for off := 0; off < len(payload); off += recordSize {
+			seqs = append(seqs, binary.LittleEndian.Uint64(payload[off:]))
+		}
+		secs = append(secs, seqs)
+	}
+	return secs
+}
+
+// A file-backed tracer writes its records in emission order: ⌈records /
+// Capacity⌉ record sections, each strictly ascending and each starting
+// above the previous section's last sequence number.
+func TestFileBackedSectionLayout(t *testing.T) {
+	for _, capacity := range []int{1, 3, 8, 64} {
+		for _, n := range []int{0, 1, capacity, 4 * capacity, 4*capacity + 1, 517} {
+			var buf bytes.Buffer
+			tr := New(Config{CPUs: 5, Capacity: capacity, Sink: &buf})
+			randomRecords(rand.New(rand.NewSource(int64(n))), tr, n, 5)
+			if err := tr.Close(nil); err != nil {
+				t.Fatal(err)
+			}
+			secs := recordSections(t, buf.Bytes())
+			if want := (n + capacity - 1) / capacity; len(secs) != want {
+				t.Fatalf("capacity %d, %d records: %d record sections, want %d", capacity, n, len(secs), want)
+			}
+			var last uint64
+			for i, seqs := range secs {
+				if len(seqs) > capacity {
+					t.Fatalf("capacity %d, %d records: section %d holds %d records", capacity, n, i, len(seqs))
+				}
+				for _, seq := range seqs {
+					if seq <= last {
+						t.Fatalf("capacity %d, %d records: section %d has seq %d after seq %d", capacity, n, i, seq, last)
+					}
+					last = seq
+				}
+			}
+		}
+	}
+}
+
+// A file-backed New allocates the tracer and its one section buffer of
+// Capacity packed records, plus a little per CPU at most: no per-CPU rings.
+func TestFileBackedNewAllocation(t *testing.T) {
+	const cpus, capacity = 228, DefaultCapacity
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr := New(Config{CPUs: cpus, Capacity: capacity, Sink: io.Discard})
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(tr)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(capacity*recordSize+64*cpus+1024); got > limit {
+		t.Fatalf("New allocated %d bytes for %d CPUs, limit %d", got, cpus, limit)
+	}
+}
+
+// mergeCase is a file of record sections for the run merge: either the
+// merged sequence numbers it must decode to, or the duplicate it must
+// reject.
+type mergeCase struct {
+	name     string
+	sections [][]uint64
+	dup      uint64 // 0: the file is valid
+}
+
+var mergeCases = []mergeCase{
+	{name: "disjoint in order", sections: [][]uint64{{1, 2, 3}, {4, 5}, {6}}},
+	{name: "disjoint reversed", sections: [][]uint64{{6, 7}, {3, 4, 5}, {1, 2}}},
+	{name: "partly overlapping", sections: [][]uint64{{1, 2, 3, 7, 8, 9}, {4, 5, 6, 10, 11}, {12, 13}}},
+	{name: "interleaved multi-record runs", sections: [][]uint64{{1, 2, 7, 8, 13}, {3, 4, 9, 10}, {5, 6, 11, 12, 14, 15}}},
+	{name: "one-record runs", sections: [][]uint64{{5}, {3}, {9}, {1}, {2}, {8}}},
+	{name: "one-record runs in one section", sections: [][]uint64{{9, 7, 5, 3, 1}, {2, 4, 6, 8}}},
+	{name: "block ends at another head", sections: [][]uint64{{1, 2, 3, 6, 7}, {4, 5, 8}}},
+	{name: "tie at a block boundary", sections: [][]uint64{{1, 2, 3, 5, 6}, {5, 7}}, dup: 5},
+	{name: "tie of two run heads", sections: [][]uint64{{1}, {3, 4}, {3, 5}}, dup: 3},
+	{name: "tie at the first heads", sections: [][]uint64{{2, 3}, {2, 4}}, dup: 2},
+	{name: "tie at the last records", sections: [][]uint64{{1, 3, 9}, {2, 9}}, dup: 9},
+	{name: "duplicate inside a block", sections: [][]uint64{{1, 2, 3, 3, 4, 5}}, dup: 3},
+	{name: "duplicate inside a later block", sections: [][]uint64{{1, 2}, {3, 4, 4, 5}, {6}}, dup: 4},
+	{name: "duplicate one-record sections", sections: [][]uint64{{4}, {1}, {4}}, dup: 4},
+}
+
+// TestDecodeMergeEdgeCases drives the block merge through overlapping,
+// disjoint and one-record runs and through every place a duplicate sequence
+// number can meet its copy.
+func TestDecodeMergeEdgeCases(t *testing.T) {
+	for _, c := range mergeCases {
+		var secs [][]Record
+		var all []Record
+		for _, seqs := range c.sections {
+			recs := seqRecords(seqs...)
+			secs = append(secs, recs)
+			all = append(all, recs...)
+		}
+		decoded, err := Decode(fileImage(secs...))
+		if c.dup != 0 {
+			want := fmt.Sprintf("duplicate record sequence number %d", c.dup)
+			if !errors.Is(err, ErrBadFormat) || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %v, want %q", c.name, err, want)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		sortRecords(all)
+		if !reflect.DeepEqual(decoded.Records, all) {
+			t.Errorf("%s: decoded %+v, want %+v", c.name, decoded.Records, all)
+		}
 	}
 }
 

@@ -41,8 +41,7 @@ func FuzzTraceCodec(f *testing.F) {
 	hugeLen := append([]byte(nil), valid...)
 	binary.LittleEndian.PutUint64(hugeLen[13:], 1<<62)
 	f.Add(hugeLen)
-	// A file-backed image: small rings spill chunks of every CPU in turn,
-	// so the record sections interleave in sequence number.
+	// A file-backed image: two-record sections in emission order.
 	var spilled bytes.Buffer
 	fb := New(Config{CPUs: 3, Capacity: 2, Sink: &spilled})
 	for i := 0; i < 24; i++ {
@@ -55,6 +54,9 @@ func FuzzTraceCodec(f *testing.F) {
 	f.Add(spilled.Bytes())
 	// One section out of order: its records descend.
 	f.Add(fileImage(seqRecords(3, 5), seqRecords(8, 6, 4, 0), seqRecords(1, 2, 7)))
+	// Interleaved multi-record runs, as the per-CPU ring chunks of earlier
+	// writers were: the merge switches runs mid-section.
+	f.Add(fileImage(seqRecords(1, 2, 7, 8, 13), seqRecords(3, 4, 9, 10), seqRecords(5, 6, 11, 12, 14, 15)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		decoded, err := Decode(data)
@@ -75,9 +77,9 @@ func FuzzTraceCodec(f *testing.F) {
 				t.Fatalf("record %d = %+v, reference %+v", i, rec, want[i])
 			}
 		}
-		// Accepted input must survive a rewrite round trip. The file-backed
-		// tracer's one-record rings spill every record as its own section,
-		// so the re-read merges one run per record.
+		// Accepted input must survive a rewrite round trip. A file-backed
+		// tracer of Capacity 1 spills every record as its own section, so
+		// the re-read merges one run per record.
 		cpus := len(decoded.Lost)
 		for _, rec := range decoded.Records {
 			cpus = max(cpus, int(rec.CPU)+1)

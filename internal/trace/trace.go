@@ -6,11 +6,12 @@
 // exporter (perfetto.go).
 //
 // The emit path is allocation-free (//rtseed:noalloc, enforced by
-// rtseed-vet): a record is a value write into a pre-sized per-CPU ring. A
-// ring that fills up never blocks the simulation — in flight-recorder mode
-// it overwrites its oldest records and counts them as lost; with a file sink
-// attached it spills the full ring to the sink instead (the only write path
-// that touches I/O, and only every Capacity events per CPU).
+// rtseed-vet) and never blocks the simulation. A flight recorder (no sink)
+// writes each record as a value into a pre-sized per-CPU ring that, once
+// full, overwrites its oldest records and counts them as lost. A file-backed
+// tracer packs each record, in emission order, into one tracer-wide section
+// buffer and writes the buffer to the sink as one record section every
+// Capacity records (the only write path that touches I/O).
 //
 // Records are stamped with a tracer-global sequence number, so the merged
 // stream of all CPUs has a total order that is a pure function of the
@@ -196,73 +197,74 @@ type ThreadInfo struct {
 	Name     string
 }
 
-// DefaultCapacity is the per-CPU ring capacity (records) used when Config
-// leaves it zero: 4096 records = 128 KiB per active CPU.
+// DefaultCapacity is the record capacity used when Config leaves it zero:
+// 4096 records = 128 KiB per ring, or per spilled section with a sink.
 const DefaultCapacity = 4096
 
 // Config configures a Tracer.
 type Config struct {
-	// CPUs pre-sizes the per-CPU ring table. Emitting on a CPU beyond it
-	// grows the table; rings themselves are allocated on each CPU's first
-	// record either way, so idle CPUs cost nothing.
+	// CPUs is the number of CPUs records may be emitted on; Emit panics on a
+	// CPU at or beyond it. A flight recorder allocates one ring per CPU at
+	// New, whether or not the CPU ever emits.
 	CPUs int
-	// Capacity is the per-CPU ring capacity in records (DefaultCapacity
-	// when zero).
+	// Capacity is the number of records of each per-CPU ring without a
+	// sink, and of each record section spilled to the sink with one
+	// (DefaultCapacity when zero).
 	Capacity int
-	// Sink, when non-nil, makes the tracer file-backed: a ring that fills
-	// spills its records to the sink and keeps going, so no record is ever
-	// lost. When nil the tracer is a flight recorder: a full ring
-	// overwrites its oldest records and counts them in Lost.
+	// Sink, when non-nil, makes the tracer file-backed: records are written
+	// to the sink in emission order, Capacity records per section, so no
+	// record is ever lost and no per-CPU ring is allocated. When nil the
+	// tracer is a flight recorder: a full ring overwrites its oldest records
+	// and counts them in Lost.
 	Sink io.Writer
 }
 
-// cpuRing is one CPU's ring buffer. count is the number of records ever
-// stored and spilled the number handed to a file sink; the ring holds the
-// most recent min(count-spilled, len(buf)) records ending at index w.
+// cpuRing is one CPU's flight-recorder ring. count is the number of
+// records ever stored; the ring holds the most recent min(count, len(buf))
+// records ending at index w.
 type cpuRing struct {
-	buf     []Record
-	w       int // next write index
-	count   uint64
-	spilled uint64
+	buf   []Record
+	w     int // next write index
+	count uint64
 }
 
 // Tracer collects trace records. All methods must be called from the
 // simulation's single host-code thread (the kernel runs every thread body
 // inline in its event dispatch, so this holds); the tracer does no locking.
 type Tracer struct {
-	rings     []cpuRing
+	cpus      int
+	rings     []cpuRing // flight recorder only
 	capacity  int
 	seq       uint64
 	observers []func(Record)
 
-	// File-backed state. headerDone latches after the header bytes are
+	// File-backed state. sec holds the packed records of the section being
+	// filled, n of them; headerDone latches after the header bytes are
 	// written; err holds the first sink error and stops further writes.
 	sink       io.Writer
-	encBuf     []byte
+	sec        []byte
+	n          int
 	headerDone bool
 	err        error
-	flushed    uint64
 }
 
-// New builds a tracer.
+// New builds a tracer. Everything Emit writes to is allocated here, so Emit
+// is allocation-free from the first record: a flight recorder's CPUs ×
+// Capacity ring records, or a file-backed tracer's one section buffer of
+// Capacity packed records.
 func New(cfg Config) *Tracer {
 	capacity := cfg.Capacity
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	tr := &Tracer{
-		rings:    make([]cpuRing, cfg.CPUs),
-		capacity: capacity,
-		sink:     cfg.Sink,
+	tr := &Tracer{cpus: cfg.CPUs, capacity: capacity, sink: cfg.Sink}
+	if cfg.Sink != nil {
+		tr.sec = make([]byte, capacity*recordSize)
+		return tr
 	}
-	// Ring buffers are allocated eagerly so Emit is allocation-free from the
-	// first record: every construction site sizes CPUs from the machine
-	// topology, and a simulated CPU that never runs costs one idle ring.
+	tr.rings = make([]cpuRing, cfg.CPUs)
 	for i := range tr.rings {
 		tr.rings[i].buf = make([]Record, capacity)
-	}
-	if cfg.Sink != nil {
-		tr.encBuf = make([]byte, capacity*recordSize)
 	}
 	return tr
 }
@@ -272,29 +274,33 @@ func New(cfg Config) *Tracer {
 // run segments without bounding history to the ring capacity.
 func (tr *Tracer) Tap(fn func(Record)) { tr.observers = append(tr.observers, fn) }
 
-// Emit appends one record to cpu's ring. This is the hot path: it never
-// blocks and never allocates — rings are sized and allocated at New from
-// the machine topology. Emitting on a CPU beyond the configured count is a
+// Emit records one event on cpu. This is the hot path: it never blocks and
+// never allocates. With a sink the record is packed into the section
+// buffer, which is written out when full; without one it is stored in
+// cpu's ring. Emitting on a CPU beyond the configured count is a
 // construction bug, not a growth event, and panics.
 //
 //rtseed:noalloc
 //rtseed:kernelctx
 func (tr *Tracer) Emit(at engine.Time, cpu uint16, tid uint32, kind Kind, arg uint64) {
-	if int(cpu) >= len(tr.rings) {
-		panic(fmt.Sprintf("trace: Emit on CPU %d, but the tracer was built for %d CPUs", cpu, len(tr.rings)))
+	if int(cpu) >= tr.cpus {
+		panic(fmt.Sprintf("trace: Emit on CPU %d, but the tracer was built for %d CPUs", cpu, tr.cpus))
 	}
-	r := &tr.rings[cpu]
 	tr.seq++
 	rec := Record{Seq: tr.seq, At: at, Arg: arg, TID: tid, CPU: cpu, Kind: kind}
 	for _, fn := range tr.observers {
 		fn(rec)
 	}
-	if r.w == len(r.buf) {
-		if tr.sink != nil {
-			tr.flushRing(r) // spill the full ring; keeps every record
-		} else {
-			r.w = 0 // flight recorder: wrap, overwriting the oldest
+	if tr.sink != nil {
+		putRecord(tr.sec[tr.n*recordSize:], rec)
+		if tr.n++; tr.n == tr.capacity {
+			tr.spill()
 		}
+		return
+	}
+	r := &tr.rings[cpu]
+	if r.w == len(r.buf) {
+		r.w = 0 // wrap, overwriting the oldest
 	}
 	r.buf[r.w] = rec
 	r.w++
@@ -302,9 +308,9 @@ func (tr *Tracer) Emit(at engine.Time, cpu uint16, tid uint32, kind Kind, arg ui
 }
 
 // Lost returns the per-CPU counts of records overwritten by ring wraparound
-// (flight-recorder mode; always zero per CPU when a sink is attached).
+// (flight-recorder mode; all zero when a sink is attached).
 func (tr *Tracer) Lost() []uint64 {
-	lost := make([]uint64, len(tr.rings))
+	lost := make([]uint64, tr.cpus)
 	for i := range tr.rings {
 		lost[i] = tr.rings[i].lost()
 	}
@@ -324,25 +330,17 @@ func (tr *Tracer) TotalLost() uint64 {
 // any the rings have overwritten.
 func (tr *Tracer) Emitted() uint64 { return tr.seq }
 
-// lost is how many of the ring's records have been overwritten. Records
-// spilled to a sink are persisted, not lost, so a file-backed ring always
-// reports zero.
+// lost is how many of the ring's records have been overwritten.
 func (r *cpuRing) lost() uint64 {
-	live := r.count - r.spilled
-	if n := uint64(len(r.buf)); live > n {
-		return live - n
+	if n := uint64(len(r.buf)); r.count > n {
+		return r.count - n
 	}
 	return 0
 }
 
-// retained returns the ring's surviving (unspilled) records in emission
-// order.
+// retained returns the ring's surviving records in emission order.
 func (r *cpuRing) retained() []Record {
-	live := r.count - r.spilled
-	if r.buf == nil || live == 0 {
-		return nil
-	}
-	if live <= uint64(len(r.buf)) {
+	if r.count <= uint64(len(r.buf)) {
 		return r.buf[:r.w]
 	}
 	// Wrapped: oldest surviving record is at w.
@@ -352,12 +350,15 @@ func (r *cpuRing) retained() []Record {
 	return out
 }
 
-// Records returns the retained records of every CPU merged into emission
-// (sequence) order. In flight-recorder mode this is the tracer's whole
-// surviving history; with a sink attached it is only what has not yet been
+// Records returns the retained records in emission (sequence) order. In
+// flight-recorder mode this is the tracer's whole surviving history, the
+// rings merged; with a sink attached it is only the section not yet
 // spilled — use the sink's file for the full stream.
 func (tr *Tracer) Records() []Record {
 	var out []Record
+	for i := 0; i < tr.n; i++ {
+		out = append(out, getRecord(tr.sec[i*recordSize:]))
+	}
 	for i := range tr.rings {
 		out = append(out, tr.rings[i].retained()...)
 	}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"testing"
 	"time"
 
@@ -151,6 +152,10 @@ func TestFileBackedSpillLosesNothing(t *testing.T) {
 	if lost := tr.TotalLost(); lost != 0 {
 		t.Fatalf("file-backed tracer lost %d records", lost)
 	}
+	// Records holds only the section not yet spilled: the last n mod 4.
+	if recs := tr.Records(); len(recs) != n%4 || recs[0].Seq != n-n%4+1 || recs[len(recs)-1].Arg != n-1 {
+		t.Fatalf("unspilled records %+v", recs)
+	}
 	threads := []ThreadInfo{{TID: 1, CPU: 0, Priority: 50, Name: "a"}, {TID: 2, CPU: 1, Priority: 60, Name: "b"}}
 	if err := tr.Close(threads); err != nil {
 		t.Fatal(err)
@@ -182,21 +187,27 @@ func TestCloseWithoutSinkErrors(t *testing.T) {
 	}
 }
 
-// The emit hot path must not allocate: rings are pre-sized, the record is a
-// value, and the observer call boxes nothing.
+// The emit hot path must not allocate: rings and the section buffer are
+// pre-sized, the record is a value, and the observer call boxes nothing.
+// The file-backed tracer spills a section every 16 records during the run.
 func TestEmitZeroAlloc(t *testing.T) {
-	tr := New(Config{CPUs: 1, Capacity: 1024})
-	var count int
-	tr.Tap(func(rec Record) { count++ })
-	tr.Emit(at(0), 0, 1, KindReady, 0) // warm: allocates the ring
-	allocs := testing.AllocsPerRun(1000, func() {
-		tr.Emit(at(time.Millisecond), 0, 1, KindDispatch, 7)
-	})
-	if allocs != 0 {
-		t.Fatalf("Emit allocates %.1f per op, want 0", allocs)
-	}
-	if count == 0 {
-		t.Fatal("tap not invoked")
+	for _, cfg := range []Config{
+		{CPUs: 1, Capacity: 1024},
+		{CPUs: 1, Capacity: 16, Sink: io.Discard},
+	} {
+		tr := New(cfg)
+		var count int
+		tr.Tap(func(rec Record) { count++ })
+		tr.Emit(at(0), 0, 1, KindReady, 0)
+		allocs := testing.AllocsPerRun(1000, func() {
+			tr.Emit(at(time.Millisecond), 0, 1, KindDispatch, 7)
+		})
+		if allocs != 0 {
+			t.Fatalf("sink %v: Emit allocates %.1f per op, want 0", cfg.Sink != nil, allocs)
+		}
+		if count == 0 {
+			t.Fatal("tap not invoked")
+		}
 	}
 }
 

@@ -10,7 +10,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: ci vet lint lint-stats loc vuln build test test-race bench-smoke bench bench-json bench-trajectory trace-smoke cluster-smoke workload-smoke fuzz-smoke tools clean
+.PHONY: ci vet lint lint-stats loc vuln build test test-race bench-smoke bench bench-ab bench-json bench-trajectory trace-smoke cluster-smoke workload-smoke fuzz-smoke tools clean
 
 ci: vet lint build test test-race bench-smoke trace-smoke cluster-smoke workload-smoke fuzz-smoke vuln
 
@@ -144,6 +144,21 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzBodyVsGoroutine -fuzztime=30s ./internal/sched
 	$(GO) test -run=NONE -fuzz=FuzzCFGBuild -fuzztime=30s ./internal/lint/dataflow
 	$(GO) test -run=NONE -fuzz=FuzzWorkloadCodec -fuzztime=30s ./internal/workload
+
+# bench-ab compares the benchmarks of package PKG matching BENCH at git
+# revision OLD against the working tree: both test binaries run alternately
+# N times, each side first in half the pairs, and the table gives per
+# benchmark the median new/old ns/op ratio, its IQR and the new side's win
+# count (scripts/bench-ab.sh). Ratios of interleaved pairs survive the host
+# drift that makes absolute ns/op useless as a gate.
+#   make bench-ab OLD=HEAD~1 BENCH='BenchmarkTracingOverhead' N=10
+OLD ?= HEAD
+BENCH ?= .
+N ?= 10
+PKG ?= .
+BENCHTIME ?= 1s
+bench-ab:
+	bash scripts/bench-ab.sh '$(OLD)' '$(BENCH)' '$(N)' '$(PKG)' '$(BENCHTIME)'
 
 # bench-json runs the scheduling-core benchmarks (engine, kernel hot paths,
 # many-task scaling, tracing overhead, trace read-back, cluster fan-out,

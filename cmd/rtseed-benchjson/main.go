@@ -25,6 +25,17 @@
 // needs no fixing up. Every benchmark that appears in any
 // report gets a series of ns/op medians across the points it was measured
 // at, so a hot path's history across the PR stack reads out of one file.
+//
+// A/B mode compares two interleaved series of runs (`make bench-ab`):
+//
+//	rtseed-benchjson -ab OLD.txt NEW.txt
+//
+// Each file is the concatenated `go test -bench` output of N runs of one
+// side, in run order; the i-th result of a benchmark in OLD and in NEW form
+// pair i. For every benchmark it prints the median and the interquartile
+// range of the per-pair new/old ns/op ratios and how many pairs the new
+// side won. Absolute ns/op drift with the host; a ratio of two binaries
+// run alternately does not, so this mode reports ratios only.
 package main
 
 import (
@@ -38,6 +49,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"text/tabwriter"
 )
 
 // Result is one benchmark measurement (the median when Samples > 1).
@@ -68,8 +80,20 @@ type Report struct {
 }
 
 // parseBench reads a `go test -bench` stream and collects every benchmark
-// result line, plus the goos/goarch/pkg/cpu context header.
+// result line, plus the goos/goarch/pkg/cpu context header. Repeated
+// results collapse to their median.
 func parseBench(r io.Reader) (*Report, error) {
+	rep, err := parseResults(r)
+	if err != nil {
+		return nil, err
+	}
+	rep.Benchmarks = collapse(rep.Benchmarks)
+	return rep, nil
+}
+
+// parseResults is parseBench without the collapse: every result line, in
+// stream order.
+func parseResults(r io.Reader) (*Report, error) {
 	rep := &Report{Context: map[string]string{}}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
@@ -95,7 +119,6 @@ func parseBench(r io.Reader) (*Report, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	rep.Benchmarks = collapse(rep.Benchmarks)
 	return rep, nil
 }
 
@@ -237,6 +260,103 @@ func buildTrajectory(paths []string) (*Trajectory, error) {
 	return traj, nil
 }
 
+// ABRow is one benchmark's A/B comparison: over Pairs pairs of runs, the
+// median and quartiles of new/old ns/op, and how many pairs new won.
+type ABRow struct {
+	Name           string
+	Pairs          int
+	Median, Q1, Q3 float64
+	Wins           int
+}
+
+// compareAB pairs the i-th result of each benchmark in oldRuns with the
+// i-th in newRuns, in oldRuns' first-seen benchmark order. A benchmark
+// missing from either side is skipped; extra runs on one side are ignored.
+func compareAB(oldRuns, newRuns []Result) []ABRow {
+	byName := func(rs []Result) (map[string][]float64, []string) {
+		m := map[string][]float64{}
+		var order []string
+		for _, r := range rs {
+			if _, seen := m[r.Name]; !seen {
+				order = append(order, r.Name)
+			}
+			m[r.Name] = append(m[r.Name], r.NsPerOp)
+		}
+		return m, order
+	}
+	olds, order := byName(oldRuns)
+	news, _ := byName(newRuns)
+	var rows []ABRow
+	for _, name := range order {
+		o, n := olds[name], news[name]
+		pairs := min(len(o), len(n))
+		if pairs == 0 {
+			continue
+		}
+		row := ABRow{Name: name, Pairs: pairs}
+		ratios := make([]float64, 0, pairs)
+		for i := 0; i < pairs; i++ {
+			if o[i] <= 0 {
+				continue
+			}
+			ratios = append(ratios, n[i]/o[i])
+			if n[i] < o[i] {
+				row.Wins++
+			}
+		}
+		if len(ratios) == 0 {
+			continue
+		}
+		sort.Float64s(ratios)
+		row.Q1, row.Median, row.Q3 = quantile(ratios, 0.25), quantile(ratios, 0.5), quantile(ratios, 0.75)
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// quantile returns the q-quantile of the sorted, non-empty xs, linearly
+// interpolated between the closest ranks.
+func quantile(xs []float64, q float64) float64 {
+	pos := q * float64(len(xs)-1)
+	i := int(pos)
+	if i+1 >= len(xs) {
+		return xs[len(xs)-1]
+	}
+	return xs[i] + (pos-float64(i))*(xs[i+1]-xs[i])
+}
+
+// writeAB prints the A/B table.
+func writeAB(w io.Writer, rows []ABRow) error {
+	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, "benchmark\tpairs\tnew/old median\tIQR\tnew wins")
+	for _, r := range rows {
+		fmt.Fprintf(tw, "%s\t%d\t%.3f\t[%.3f, %.3f]\t%d/%d\n", r.Name, r.Pairs, r.Median, r.Q1, r.Q3, r.Wins, r.Pairs)
+	}
+	return tw.Flush()
+}
+
+// runAB reads the two run files and prints their comparison.
+func runAB(w io.Writer, oldPath, newPath string) error {
+	var sides [2][]Result
+	for i, path := range []string{oldPath, newPath} {
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		rep, err := parseResults(f)
+		f.Close()
+		if err != nil {
+			return err
+		}
+		sides[i] = rep.Benchmarks
+	}
+	rows := compareAB(sides[0], sides[1])
+	if len(rows) == 0 {
+		return fmt.Errorf("rtseed-benchjson: no benchmark appears in both %s and %s", oldPath, newPath)
+	}
+	return writeAB(w, rows)
+}
+
 // parseLine decodes one result line:
 //
 //	BenchmarkName-8   123456   503.8 ns/op   32 B/op   1 allocs/op
@@ -287,9 +407,21 @@ func main() {
 	out := flag.String("o", "", "write the JSON report to this file (default stdout)")
 	baseline := flag.String("baseline", "", "prior report to compare against (adds baseline_ns_per_op and speedup)")
 	trajectory := flag.Bool("trajectory", false, "merge the per-PR report files given as arguments into one longitudinal record")
+	ab := flag.Bool("ab", false, "compare two files of interleaved benchmark runs, OLD and NEW, and print new/old ratios")
 	flag.Parse()
 
 	var doc any
+	if *ab {
+		if flag.NArg() != 2 || *trajectory || *baseline != "" || *out != "" {
+			fmt.Fprintln(os.Stderr, "rtseed-benchjson: -ab takes exactly two run files, OLD and NEW, and no other flag")
+			os.Exit(2)
+		}
+		if err := runAB(os.Stdout, flag.Arg(0), flag.Arg(1)); err != nil {
+			fmt.Fprintln(os.Stderr, "rtseed-benchjson:", err)
+			os.Exit(1)
+		}
+		return
+	}
 	if *trajectory {
 		if flag.NArg() == 0 {
 			fmt.Fprintln(os.Stderr, "rtseed-benchjson: -trajectory needs at least one report file argument")

@@ -219,3 +219,61 @@ func TestBuildTrajectoryOrdersByPRNumber(t *testing.T) {
 func writeFile(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
 }
+
+// TestCompareAB pairs the i-th runs of the two sides: ratios, quartiles
+// and wins per benchmark, a benchmark on one side only skipped, and extra
+// runs on one side ignored.
+func TestCompareAB(t *testing.T) {
+	oldRuns := `BenchmarkA-2  100  100 ns/op
+BenchmarkB-2  100  50 ns/op
+BenchmarkOnlyOld-2  100  1 ns/op
+BenchmarkA-2  100  200 ns/op
+BenchmarkB-2  100  50 ns/op
+BenchmarkA-2  100  100 ns/op
+BenchmarkB-2  100  50 ns/op
+BenchmarkA-2  100  100 ns/op
+BenchmarkB-2  100  50 ns/op
+BenchmarkA-2  100  100 ns/op
+`
+	newRuns := `BenchmarkB-2  100  60 ns/op
+BenchmarkA-2  100  90 ns/op
+BenchmarkA-2  100  100 ns/op
+BenchmarkB-2  100  40 ns/op
+BenchmarkA-2  100  80 ns/op
+BenchmarkB-2  100  45 ns/op
+BenchmarkA-2  100  110 ns/op
+BenchmarkB-2  100  55 ns/op
+`
+	parse := func(s string) []Result {
+		rep, err := parseResults(strings.NewReader(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Benchmarks
+	}
+	rows := compareAB(parse(oldRuns), parse(newRuns))
+	want := []ABRow{
+		// A: ratios 0.9, 0.5, 0.8, 1.1 → sorted 0.5 0.8 0.9 1.1.
+		{Name: "BenchmarkA", Pairs: 4, Q1: 0.725, Median: 0.85, Q3: 0.95, Wins: 3},
+		// B: ratios 1.2, 0.8, 0.9, 1.1 → sorted 0.8 0.9 1.1 1.2.
+		{Name: "BenchmarkB", Pairs: 4, Q1: 0.875, Median: 1.0, Q3: 1.125, Wins: 2},
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("rows %+v, want %+v", rows, want)
+	}
+	near := func(a, b float64) bool { return a-b < 1e-9 && b-a < 1e-9 }
+	for i, w := range want {
+		r := rows[i]
+		if r.Name != w.Name || r.Pairs != w.Pairs || r.Wins != w.Wins ||
+			!near(r.Q1, w.Q1) || !near(r.Median, w.Median) || !near(r.Q3, w.Q3) {
+			t.Errorf("row %d = %+v, want %+v", i, r, w)
+		}
+	}
+	var b strings.Builder
+	if err := writeAB(&b, rows); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "BenchmarkA  4      0.850           [0.725, 0.950]  3/4") {
+		t.Errorf("table:\n%s", b.String())
+	}
+}

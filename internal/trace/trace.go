@@ -1,6 +1,6 @@
 // Package trace is the simulator's ftrace/LTTng-style tracing subsystem:
-// per-CPU fixed-capacity ring buffers of packed 32-byte records emitted from
-// the kernel's dispatch/release/timer/sleep/termination paths and from the
+// fixed-capacity buffers of packed 32-byte records emitted from the
+// kernel's dispatch/release/timer/sleep/termination paths and from the
 // middleware's P-RMWP part boundaries, plus a versioned binary file format
 // (file.go), post-hoc analyses (analyze.go), and a Chrome trace_event
 // exporter (perfetto.go).

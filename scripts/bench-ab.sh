@@ -32,7 +32,7 @@ go test -c -o "$tmp/new.test" "$pkg"
 run() { # side
 	local dir=$root
 	[ "$1" = old ] && dir=$tmp/old
-	(cd "$dir/$pkg" && "$tmp/$1.test" -test.run='^$' -test.bench="$bench" -test.benchtime="$benchtime") >> "$tmp/$1.txt"
+	(cd "$dir/$pkg" && "$tmp/$1.test" -test.run='^$' -test.bench="$bench" -test.benchtime="$benchtime" -test.timeout=30m) >> "$tmp/$1.txt"
 }
 for i in $(seq 1 "$n"); do
 	if [ $((i % 2)) -eq 1 ]; then run old; run new; else run new; run old; fi

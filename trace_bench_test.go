@@ -3,7 +3,7 @@ package rtseed
 // Tracing-overhead benchmarks: the per-event cost the tracing subsystem
 // adds to the scheduling core, in three modes — tracing off (the nil-check
 // baseline), ring-only (flight recorder, records overwritten in place), and
-// file-backed (full ring spilled to a sink). The workload is the release-
+// file-backed (records packed in emission order and spilled to a sink). The workload is the release-
 // only many-task sweep of BenchmarkManyTaskKernel, so every event is
 // scheduling-core work and the emit path runs on each of them.
 //
@@ -87,9 +87,9 @@ func BenchmarkTracingOverhead(b *testing.B) {
 
 // readBackTrace synthesizes a file-backed trace of 384,000 records over 32
 // CPUs: 256 tasks of one mandatory and two optional threads, 100 jobs each,
-// every job its release, dispatches, part boundaries and end. The default
-// ring capacity spills it in interleaved per-CPU chunks, as a simulated
-// machine's recording is. Every 97th job is preempted and misses.
+// every job its release, dispatches, part boundaries and end, spilled in
+// sections of the default capacity as a simulated machine's recording is.
+// Every 97th job is preempted and misses.
 func readBackTrace(b *testing.B) []byte {
 	b.Helper()
 	const cpus, tasks, jobs = 32, 256, 100

@@ -156,9 +156,8 @@ OLD ?= HEAD
 BENCH ?= .
 N ?= 10
 PKG ?= .
-BENCHTIME ?= 1s
 bench-ab:
-	bash scripts/bench-ab.sh '$(OLD)' '$(BENCH)' '$(N)' '$(PKG)' '$(BENCHTIME)'
+	bash scripts/bench-ab.sh '$(OLD)' '$(BENCH)' '$(N)' '$(PKG)'
 
 # bench-json runs the scheduling-core benchmarks (engine, kernel hot paths,
 # many-task scaling, tracing overhead, trace read-back, cluster fan-out,

@@ -13,12 +13,16 @@ package rtseed
 //
 // BenchmarkTraceReadBack measures the other end of the pipeline: decoding
 // a file-backed trace and analyzing it, as rtseed-trace and the cluster's
-// per-machine read-back do.
+// per-machine read-back do. BenchmarkTraceReadBackPerCPU decodes the same
+// records in the per-CPU-chunk layout of earlier writers, whose sections
+// interleave, so the run merge works between blocks on almost every record.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"reflect"
 	"testing"
 	"time"
 
@@ -144,7 +148,27 @@ func readBackTrace(b *testing.B) []byte {
 }
 
 func BenchmarkTraceReadBack(b *testing.B) {
+	benchReadBack(b, readBackTrace(b))
+}
+
+func BenchmarkTraceReadBackPerCPU(b *testing.B) {
 	data := readBackTrace(b)
+	chunked := perCPUChunks(data, 32, trace.DefaultCapacity)
+	want, err := trace.Decode(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	got, err := trace.Decode(chunked)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		b.Fatal("per-CPU-chunk layout decodes differently from the emission-order file")
+	}
+	benchReadBack(b, chunked)
+}
+
+func benchReadBack(b *testing.B, data []byte) {
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -157,4 +181,45 @@ func BenchmarkTraceReadBack(b *testing.B) {
 			b.Fatalf("analysis saw %d tasks and %d misses", len(a.Tasks), len(a.Misses))
 		}
 	}
+}
+
+// perCPUChunks rewrites the well-formed trace file data into the layout of
+// earlier file-backed writers: each CPU's records in chunks of capacity, a
+// chunk written when the CPU's next record finds it full, then the partial
+// chunks in CPU order, then the file's other sections unchanged.
+func perCPUChunks(data []byte, cpus, capacity int) []byte {
+	const header, recordSize = 12, 32
+	out := append([]byte(nil), data[:header]...)
+	pending := make([][]byte, cpus)
+	var rest []byte
+	flush := func(cpu int) {
+		if len(pending[cpu]) == 0 {
+			return
+		}
+		out = append(out, 'R')
+		out = binary.LittleEndian.AppendUint64(out, uint64(len(pending[cpu])))
+		out = append(out, pending[cpu]...)
+		pending[cpu] = pending[cpu][:0]
+	}
+	for off := header; off < len(data); {
+		end := off + 9 + int(binary.LittleEndian.Uint64(data[off+1:]))
+		if data[off] != 'R' {
+			rest = append(rest, data[off:end]...)
+			off = end
+			continue
+		}
+		for p := off + 9; p < end; p += recordSize {
+			rec := data[p : p+recordSize]
+			cpu := int(binary.LittleEndian.Uint16(rec[28:]))
+			if len(pending[cpu]) == capacity*recordSize {
+				flush(cpu)
+			}
+			pending[cpu] = append(pending[cpu], rec...)
+		}
+		off = end
+	}
+	for cpu := range pending {
+		flush(cpu)
+	}
+	return append(out, rest...)
 }
